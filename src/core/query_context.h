@@ -13,9 +13,11 @@
 //
 // Contexts are cheap to construct on the query path: the profile is a
 // flat struct and the RNG seeds from the query id, so no global RNG is
-// contended. RouteQueryDetailed -> ExecuteWithFailover -> Replica::Execute
-// all write into the same context, and BlotStore::Execute moves its
-// pieces into the RoutedResult when the query finishes.
+// contended. The store's coordinator (routing, failover, hedging,
+// deadline and partial answers) writes into the context on the calling
+// thread only — racing attempts fill their own outcomes and the
+// coordinator folds them in — and BlotStore::Execute moves its pieces
+// into the RoutedResult when the query finishes.
 #ifndef BLOT_CORE_QUERY_CONTEXT_H_
 #define BLOT_CORE_QUERY_CONTEXT_H_
 
@@ -32,10 +34,10 @@
 
 namespace blot {
 
-// One execution attempt of the failover loop: which replica was tried,
-// what happened, and how long it took. RoutedResult carries the full
-// log so a caller (or the serving layer's slow-query diagnostics) can
-// reconstruct the query's path without re-reading the event log.
+// One execution attempt of the store's attempt loop: which replica was
+// tried, what happened, and how long it took. RoutedResult carries the
+// full log so a caller (or the serving layer's slow-query diagnostics)
+// can reconstruct the query's path without re-reading the event log.
 struct QueryAttempt {
   std::size_t replica_index = 0;
   std::string replica;      // config name of the attempted replica
@@ -63,11 +65,11 @@ class QueryContext {
   std::uint64_t query_id() const { return query_id_; }
 
   // Per-stage timings and counters, filled by routing, the scan kernels
-  // and the failover loop (obs/profile.h).
+  // and the attempt loop (obs/profile.h).
   obs::QueryProfile profile;
   // Caller-owned trace span; null when tracing is off.
   obs::TraceSpan* trace = nullptr;
-  // One entry per failover-loop attempt, in order.
+  // One entry per attempt, in launch order.
   std::vector<QueryAttempt> attempts;
   // Deterministic per-query randomness (event sampling, jitter). Seeded
   // from the query id, so two runs issuing the same queries in the same
@@ -81,9 +83,10 @@ class QueryContext {
   // Snapshotted from the store's setting when the query starts.
   std::size_t max_scan_parallelism = 0;
   // Cooperative cancellation for this query: carries the deadline (when
-  // one is set) and is polled at failover-attempt, partition, and block
-  // boundaries. Invalid (inert) when the caller set no deadline and
-  // hedging is off, so undeadlined queries pay nothing.
+  // one is set) and is polled at attempt, partition, and block
+  // boundaries. Invalid (inert) when the caller set no deadline, so
+  // undeadlined queries pay nothing; hedged attempts each run under a
+  // Child() of it.
   CancelToken cancel;
   // The caller's deadline in milliseconds (0 = none); the enforcing
   // clock lives inside `cancel`, this is kept for error reporting.

@@ -1,12 +1,11 @@
 #include "core/store.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -36,9 +35,21 @@ obs::Histogram& CostErrorHistogram() {
   return histogram;
 }
 
-// Records one routed execution into the query.* metrics.
-void RecordRoutedQuery(const std::string& replica_name,
-                       const BlotStore::RoutedResult& routed) {
+// Adds `n` to the registry counter `name` (callers check enabled()).
+void Count(std::string_view name, std::uint64_t n = 1) {
+  obs::MetricsRegistry::global().GetCounter(name).Increment(n);
+}
+
+// Background tasks (kBackground repair sweeps, hedge attempts) in flight
+// across all stores; back to 0 once every task has been reaped.
+obs::Gauge& BackgroundInflight() {
+  static obs::Gauge& gauge =
+      obs::MetricsRegistry::global().GetGauge("store.background_inflight");
+  return gauge;
+}
+
+// Records one routed execution into the query.* and failover.* metrics.
+void RecordRoutedQuery(const BlotStore::RoutedResult& routed) {
   auto& registry = obs::MetricsRegistry::global();
   static obs::Counter& routed_total =
       registry.GetCounter("query.routed_total");
@@ -58,7 +69,7 @@ void RecordRoutedQuery(const std::string& replica_name,
       registry.GetCounter("query.bytes_read_total");
 
   routed_total.Increment();
-  registry.GetCounter("query.routed_total", {{"replica", replica_name}})
+  registry.GetCounter("query.routed_total", {{"replica", routed.served_by}})
       .Increment();
   estimated_ms.Observe(routed.estimated_cost_ms);
   measured_ms.Observe(routed.measured_cost_ms);
@@ -71,6 +82,10 @@ void RecordRoutedQuery(const std::string& replica_name,
   records_scanned.Increment(routed.result.stats.records_scanned);
   records_returned.Increment(routed.result.records.size());
   bytes_read.Increment(routed.result.stats.bytes_read);
+  if (routed.partial) Count("query.partial_total");
+  if (routed.degraded) Count("failover.queries_rerouted_total");
+  if (routed.hedged) Count("hedge.fired_total");
+  if (routed.hedge_backup_won) Count("hedge.backup_wins_total");
 }
 
 // Renders a partition list as "3,17,42" for event fields. A mass
@@ -97,14 +112,9 @@ void RecordQuarantine(std::string_view replica_name,
                       std::size_t newly_suspect, std::size_t active) {
   auto& registry = obs::MetricsRegistry::global();
   if (registry.enabled()) {
-    static obs::Counter& partitions_total =
-        registry.GetCounter("quarantine.partitions_total");
-    static obs::Counter& suspects_total =
-        registry.GetCounter("quarantine.suspects_total");
-    static obs::Gauge& active_gauge = registry.GetGauge("quarantine.active");
-    partitions_total.Increment(newly_quarantined);
-    suspects_total.Increment(newly_suspect);
-    active_gauge.Set(static_cast<double>(active));
+    Count("quarantine.partitions_total", newly_quarantined);
+    Count("quarantine.suspects_total", newly_suspect);
+    registry.GetGauge("quarantine.active").Set(static_cast<double>(active));
   }
   obs::EventLog& log = obs::EventLog::Global();
   if (log.enabled() && (newly_quarantined > 0 || newly_suspect > 0)) {
@@ -117,6 +127,19 @@ void RecordQuarantine(std::string_view replica_name,
               obs::Field("newly_suspect", newly_suspect),
               obs::Field("active_quarantined", active)});
   }
+}
+
+// Quarantines exactly the storage units a read fault names (replica
+// `index` of the store) and drops their cached decodes.
+void QuarantineFault(HealthMap& health, std::size_t index,
+                     const Replica& replica, const PartitionFaultError& e) {
+  std::size_t newly_quarantined = 0;
+  for (const std::size_t p : e.partitions()) {
+    if (health.Quarantine(index, p)) ++newly_quarantined;
+    PartitionCache::Global().Invalidate(replica.cache_id(), p);
+  }
+  RecordQuarantine(replica.config().Name(), e.partitions(), newly_quarantined,
+                   0, health.QuarantinedCount());
 }
 
 // Total order over records so multiset containment can be checked by a
@@ -154,19 +177,7 @@ BlotStore::~BlotStore() {
 }
 
 BlotStore::BlotStore(BlotStore&& other) noexcept {
-  // Drain background repairs first: their tasks captured `&other`, and
-  // moving the boxed state out from under a running task would leave it
-  // dereferencing null unique_ptrs.
-  if (other.sync_ != nullptr) other.WaitForRepairs();
-  dataset_ = std::move(other.dataset_);
-  universe_ = other.universe_;
-  replicas_ = std::move(other.replicas_);
-  sketches_ = std::move(other.sketches_);
-  policy_ = other.policy_;
-  health_ = std::move(other.health_);
-  latency_ = std::move(other.latency_);
-  sync_ = std::move(other.sync_);
-  telemetry_ = std::move(other.telemetry_);
+  *this = std::move(other);
 }
 
 BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
@@ -181,6 +192,7 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   replicas_ = std::move(other.replicas_);
   sketches_ = std::move(other.sketches_);
   policy_ = other.policy_;
+  max_scan_parallelism_ = other.max_scan_parallelism_;
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
   sync_ = std::move(other.sync_);
@@ -208,20 +220,30 @@ void BlotStore::SetMaxScanParallelism(std::size_t cap) {
   max_scan_parallelism_ = cap;
 }
 
+void BlotStore::SyncState::BeginBackground() {
+  BackgroundInflight().Add(1.0);
+  std::lock_guard lock(inflight_mutex);
+  ++inflight;
+}
+
+void BlotStore::SyncState::EndBackground() {
+  BackgroundInflight().Add(-1.0);
+  // Notify under the lock: once it is released the waiter may destroy
+  // this state, so nothing here may touch it afterwards.
+  std::lock_guard lock(inflight_mutex);
+  if (--inflight == 0) inflight_cv.notify_all();
+}
+
 void BlotStore::WaitForRepairs() {
-  std::vector<std::future<void>> pending;
-  {
-    std::lock_guard lock(sync_->futures_mutex);
-    pending.swap(sync_->repair_futures);
-  }
-  for (std::future<void>& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      // Repair failures are already counted in repair.failed_total; a
-      // background task must never take the store down.
-    }
-  }
+  std::unique_lock lock(sync_->inflight_mutex);
+  sync_->inflight_cv.wait(lock, [this] { return sync_->inflight == 0; });
+}
+
+ThreadPool& BlotStore::AttemptExecutor() {
+  std::call_once(sync_->executor_once, [this] {
+    sync_->executor = std::make_unique<ThreadPool>(kAttemptThreads, "attempt");
+  });
+  return *sync_->executor;
 }
 
 std::size_t BlotStore::AddReplica(const ReplicaConfig& config,
@@ -231,11 +253,7 @@ std::size_t BlotStore::AddReplica(const ReplicaConfig& config,
     require(!(existing.config() == config &&
               existing.universe() == universe_),
             "BlotStore::AddReplica: duplicate replica " + config.Name());
-  replicas_.push_back(Replica::Build(dataset_, config, universe_, pool));
-  sketches_.push_back(ReplicaSketch::FromReplica(replicas_.back()));
-  health_->AddReplica(replicas_.back().NumPartitions());
-  latency_->AddReplica();
-  return replicas_.size() - 1;
+  return AdoptReplica(Replica::Build(dataset_, config, universe_, pool));
 }
 
 std::size_t BlotStore::AddPartialReplica(const ReplicaConfig& config,
@@ -248,7 +266,11 @@ std::size_t BlotStore::AddPartialReplica(const ReplicaConfig& config,
           "BlotStore::AddPartialReplica: coverage is the whole universe; "
           "use AddReplica");
   const Dataset covered(dataset_.FilterByRange(coverage));
-  replicas_.push_back(Replica::Build(covered, config, coverage, pool));
+  return AdoptReplica(Replica::Build(covered, config, coverage, pool));
+}
+
+std::size_t BlotStore::AdoptReplica(Replica replica) {
+  replicas_.push_back(std::move(replica));
   sketches_.push_back(ReplicaSketch::FromReplica(replicas_.back()));
   health_->AddReplica(replicas_.back().NumPartitions());
   latency_->AddReplica();
@@ -290,19 +312,30 @@ BlotStore::Ranking BlotStore::RankCandidates(
       continue;
     ++out.covering;
     const double cost = model.QueryCostMs(sketches_[i], query);
+    const RoutingDecision decision{i, cost,
+                                   sketches_[i].index.CountInvolved(query)};
     double adjusted = cost;
+    std::vector<std::size_t> lost;
     if (!health_->AllOk(i)) {
       const std::vector<std::size_t> involved =
           sketches_[i].index.InvolvedPartitions(query);
-      if (health_->AnyQuarantined(i, involved)) continue;
+      for (const std::size_t p : involved)
+        if (health_->Get(i, p) == PartitionHealth::kQuarantined)
+          lost.push_back(p);
       if (health_->AnySuspect(i, involved))
         adjusted *= policy.suspect_cost_penalty;
     }
+    if (!out.fallback || lost.size() < out.lost.size() ||
+        (lost.size() == out.lost.size() &&
+         cost < out.fallback->estimated_cost_ms)) {
+      out.fallback = decision;
+      out.lost = lost;
+    }
+    if (!lost.empty()) continue;
     // Brownout: a replica whose observed reads run far slower than its
     // peers' is deprioritized (not quarantined — slow is not corrupt).
     adjusted *= latency_->BrownoutPenalty(i);
-    scored.push_back(
-        {adjusted, {i, cost, sketches_[i].index.CountInvolved(query)}});
+    scored.push_back({adjusted, decision});
   }
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) {
@@ -351,283 +384,426 @@ std::size_t BlotStore::RouteQuery(const STRange& query,
   return RouteQueryDetailed(query, model).replica_index;
 }
 
-BlotStore::RoutedResult BlotStore::ExecuteWithFailover(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy, ThreadPool* pool, QueryContext& ctx) {
-  RoutedResult routed;
-  const bool profiling = ctx.profiling;
-  obs::QueryProfile& profile = ctx.profile;
-  obs::TraceSpan* trace = ctx.trace;
-  obs::TraceSpan* route_span =
-      trace != nullptr ? &trace->AddChild("route") : nullptr;
-  Ranking ranking;
-  const std::uint64_t route_start = profiling ? obs::MonotonicNanos() : 0;
-  {
-    obs::SpanTimer route_timer(route_span);
-    ranking = RankCandidates(query, model, policy);
+// The outcome of one execution attempt.
+struct BlotStore::Attempt {
+  enum class Status { kOk, kTruncated, kFault };
+  Status status = Status::kFault;
+  QueryResult result;
+  double ms = 0.0;            // wall time of the attempt
+  std::string error;          // fault text, or why the scan stopped short
+  obs::QueryProfile profile;  // this attempt's scan sub-stages
+  std::exception_ptr exception;  // anything but a read fault; rethrown
+};
+
+void BlotStore::RunAttempt(const STRange& query, std::size_t replica,
+                           const ScanOptions& scan, Attempt& out) {
+  const std::uint64_t start_ns = obs::MonotonicNanos();
+  std::shared_lock lock(sync_->state_mutex);
+  const Replica& rep = replicas_[replica];
+  try {
+    out.result = rep.Execute(query, scan);
+    out.status = out.result.truncated ? Attempt::Status::kTruncated
+                                      : Attempt::Status::kOk;
+  } catch (const PartitionFaultError& e) {
+    QuarantineFault(*health_, replica, rep, e);
+    out.status = Attempt::Status::kFault;
+    out.error = e.what();
   }
-  if (profiling)
-    profile.AddStage(obs::Stage::kRoute,
-                     double(obs::MonotonicNanos() - route_start) * 1e-6);
+  out.ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
+  // Only complete scans teach the latency map: a cancelled scan's wall
+  // time reflects the budget or the race, not the replica's speed.
+  if (out.status == Attempt::Status::kOk)
+    latency_->Observe(replica, out.result.stats.partitions_scanned, out.ms);
+  else if (out.status == Attempt::Status::kTruncated)
+    out.error = "cancelled mid-scan";
+}
+
+BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
+                                              const CostModel& model,
+                                              ThreadPool* pool,
+                                              QueryContext& ctx) {
+  using Clock = std::chrono::steady_clock;
+  const bool metrics = obs::MetricsRegistry::global().enabled();
+  obs::EventLog& log = obs::EventLog::Global();
+
+  // Route once, under the same lock as the per-query policy snapshot
+  // (retunes never tear a query) and the replica names (naming an attempt
+  // never needs the store after the attempt was abandoned).
+  FailoverPolicy policy;
+  Ranking ranking;
+  std::vector<std::string> names;  // by replica index
+  const std::uint64_t route_start = obs::MonotonicNanos();
+  {
+    std::shared_lock lock(sync_->state_mutex);
+    policy = policy_;
+    ctx.max_scan_parallelism = max_scan_parallelism_;
+    ranking = RankCandidates(query, model, policy);
+    for (const Replica& rep : replicas_) names.push_back(rep.config().Name());
+  }
+  const std::size_t max_attempts =
+      std::max<std::size_t>(std::size_t{1}, policy.max_attempts);
+  const double route_ms = double(obs::MonotonicNanos() - route_start) * 1e-6;
+  if (ctx.profiling) ctx.profile.AddStage(obs::Stage::kRoute, route_ms);
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
-  if (ranking.ranked.empty()) throw UnservableError(query);
-  if (route_span != nullptr) {
-    route_span->AddAttribute("candidates", std::uint64_t{replicas_.size()});
-    route_span->AddAttribute("healthy_candidates",
-                             std::uint64_t{ranking.ranked.size()});
-    route_span->AddAttribute(
-        "replica",
-        replicas_[ranking.ranked.front().replica_index].config().Name());
-    route_span->AddAttribute("estimated_cost_ms",
-                             ranking.ranked.front().estimated_cost_ms);
-    route_span->AddAttribute(
-        "predicted_partitions",
-        std::uint64_t{ranking.ranked.front().predicted_partitions});
+  const std::vector<RoutingDecision>& ranked = ranking.ranked;
+  if (ctx.trace != nullptr) {
+    obs::TraceSpan& span = ctx.trace->AddChild("route");
+    span.set_duration_ms(route_ms);
+    span.AddAttribute("candidates", std::uint64_t{names.size()});
+    span.AddAttribute("healthy_candidates", std::uint64_t{ranked.size()});
+    if (!ranked.empty()) {
+      span.AddAttribute("replica", names[ranked.front().replica_index]);
+      span.AddAttribute("estimated_cost_ms", ranked.front().estimated_cost_ms);
+      span.AddAttribute("predicted_partitions",
+                        std::uint64_t{ranked.front().predicted_partitions});
+    }
   }
 
-  auto& registry = obs::MetricsRegistry::global();
-  const std::size_t max_attempts =
-      std::max<std::size_t>(std::size_t{1}, policy.max_attempts);
-  std::size_t attempts = 0;
-  bool success = false;
-  for (const RoutingDecision& decision : ranking.ranked) {
-    if (attempts >= max_attempts) break;
-    // Deadline expiry (or an external cancel) ends the failover loop:
-    // starting another full attempt cannot beat an already-blown budget.
-    if (ctx.cancel.ShouldStop()) break;
-    const std::size_t idx = decision.replica_index;
-    // An earlier attempt's fault may have quarantined this candidate's
-    // copy of a needed partition since the ranking was computed.
-    if (!health_->AllOk(idx) &&
-        health_->AnyQuarantined(idx,
-                                sketches_[idx].index.InvolvedPartitions(
-                                    query)))
-      continue;
-    ++attempts;
-    const Replica& rep = replicas_[idx];
-    const std::string replica_name = rep.config().Name();
-    obs::TraceSpan* execute_span =
-        trace != nullptr ? &trace->AddChild("execute") : nullptr;
-    if (execute_span != nullptr) {
-      execute_span->AddAttribute("attempt", std::uint64_t{attempts});
-      execute_span->AddAttribute("replica", replica_name);
-    }
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    try {
-      obs::SpanTimer execute_timer(execute_span);
-      ScanOptions scan_options;
-      scan_options.pool = pool;
-      scan_options.profile = profiling ? &profile : nullptr;
-      scan_options.max_parallelism = ctx.max_scan_parallelism;
-      scan_options.cancel = ctx.cancel.valid() ? &ctx.cancel : nullptr;
-      routed.result = rep.Execute(query, scan_options);
-      routed.measured_cost_ms =
-          double(obs::MonotonicNanos() - start_ns) * 1e-6;
-      routed.replica_index = idx;
-      routed.estimated_cost_ms = decision.estimated_cost_ms;
-      routed.predicted_partitions = decision.predicted_partitions;
-      routed.served_by = replica_name;
-      routed.partial = routed.result.truncated;
-      ctx.attempts.push_back(
-          {idx, replica_name, routed.measured_cost_ms, true, {}});
-      // Only complete attempts teach the latency map: a cancelled scan's
-      // wall time reflects the budget, not the replica's speed.
-      if (!routed.result.truncated)
-        latency_->Observe(idx, routed.result.stats.partitions_scanned,
-                          routed.measured_cost_ms);
-      success = true;
-    } catch (const PartitionFaultError& e) {
-      // Attributed read faults: quarantine exactly the failing storage
-      // units (and drop any stale cached decodes), then fail over.
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(idx, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(rep.cache_id(), p);
-      }
-      RecordQuarantine(replica_name, e.partitions(), newly_quarantined, 0,
-                       health_->QuarantinedCount());
-      // The failed attempt's wall time is failover overhead, not
-      // execution of the serving replica.
-      const double attempt_ms =
-          double(obs::MonotonicNanos() - start_ns) * 1e-6;
-      ctx.attempts.push_back(
-          {idx, replica_name, attempt_ms, false, std::string(e.what())});
-      if (profiling) profile.AddStage(obs::Stage::kFailover, attempt_ms);
-      obs::EventLog& log = obs::EventLog::Global();
-      if (log.enabled()) {
-        log.Warn("failover",
-                 "read fault; failing over to next-cheapest replica",
-                 {obs::Field("replica", replica_name),
-                  obs::Field("attempt", attempts),
-                  obs::Field("faulty_partitions",
-                             PartitionList(e.partitions()))});
-      }
-      if (execute_span != nullptr)
-        execute_span->AddAttribute("fault", std::string(e.what()));
-      continue;
-    }
-    if (profiling)
-      profile.AddStage(obs::Stage::kExecute, routed.measured_cost_ms);
-    if (execute_span != nullptr) {
-      execute_span->AddAttribute(
-          "partitions_scanned",
-          std::uint64_t{routed.result.stats.partitions_scanned});
-      execute_span->AddAttribute("records_scanned",
-                                 routed.result.stats.records_scanned);
-      execute_span->AddAttribute(
-          "records_returned", std::uint64_t{routed.result.records.size()});
-      execute_span->AddAttribute("bytes_read",
-                                 routed.result.stats.bytes_read);
-      if (PartitionCache::Global().enabled()) {
-        execute_span->AddAttribute(
-            "cache_hits", std::uint64_t{routed.result.stats.cache_hits});
-        execute_span->AddAttribute(
-            "cache_misses",
-            std::uint64_t{routed.result.stats.cache_misses});
-      }
-    }
-    break;
-  }
+  // One slot per launched attempt. The board is shared with the attempts
+  // (a cancelled loser may still be writing its slot after the query
+  // returned): `attempt` and `done` are guarded by `mutex`, the other
+  // fields belong to this thread.
+  struct Slot {
+    Attempt attempt;
+    bool done = false;
+    bool collected = false;  // `done` observed; `attempt` is ours to read
+    RoutingDecision decision;
+    CancelToken token;
+    Clock::time_point hedge_at;  // when running alone fires the hedge
+  };
+  struct Board {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<Slot> slots;
+  };
+  auto board = std::make_shared<Board>();
+  // Every candidate the budget allows, plus the degraded scan.
+  board->slots.resize(std::min(max_attempts, ranked.size()) + 1);
+  std::size_t launched = 0;
+  std::vector<std::size_t> running;  // launched, not yet collected
+  // A hedge needs a second candidate and a budget to race it with.
+  const bool hedging =
+      ctx.hedge_ms > 0.0 && ranked.size() >= 2 && max_attempts >= 2;
+  ScanOptions scan;
+  scan.pool = pool;
+  scan.max_parallelism = ctx.max_scan_parallelism;
 
-  if (registry.enabled()) {
-    static obs::Counter& attempts_total =
-        registry.GetCounter("failover.attempts_total");
-    attempts_total.Increment(attempts);
+  // Runs inline when no hedge can fire. Otherwise the attempt is a task
+  // on the store's executor under a child token, which observes the
+  // query's deadline but cancels alone (stopping a loser never touches
+  // the winner). The degraded scan always runs inline: its
+  // `exclude_partitions` points into this frame.
+  auto launch = [&](const RoutingDecision& decision, ScanOptions options) {
+    const std::size_t index = launched++;
+    Slot& slot = board->slots[index];
+    slot.decision = decision;
+    running.push_back(index);
+    const bool inline_run = !hedging || options.exclude_partitions != nullptr;
+    slot.token = inline_run ? ctx.cancel : ctx.cancel.Child();
+    if (!inline_run) {
+      const std::chrono::duration<double, std::milli> hedge_after(std::max(
+          ctx.hedge_ms, 2.0 * latency_->ExpectedMs(
+                                  decision.replica_index,
+                                  decision.predicted_partitions)));
+      slot.hedge_at = Clock::now() +
+                      std::chrono::duration_cast<Clock::duration>(hedge_after);
+    }
+    auto run = [this, board, query, options, index, token = slot.token,
+                replica = decision.replica_index,
+                profiling = ctx.profiling]() mutable {
+      Attempt out;
+      options.cancel = token.valid() ? &token : nullptr;
+      options.profile = profiling ? &out.profile : nullptr;
+      try {
+        RunAttempt(query, replica, options, out);
+      } catch (...) {
+        out.exception = std::current_exception();
+      }
+      {
+        std::lock_guard lock(board->mutex);
+        board->slots[index].attempt = std::move(out);
+        board->slots[index].done = true;
+      }
+      board->cv.notify_all();
+    };
+    if (inline_run) return run();
+    sync_->BeginBackground();
+    AttemptExecutor().Submit([this, run]() mutable {
+      run();
+      sync_->EndBackground();
+    });
+  };
+
+  // The next candidate worth an attempt: within the budget, before the
+  // deadline, and not quarantined since the ranking (an earlier attempt's
+  // fault may have hit a copy this candidate needs).
+  std::size_t cursor = 0;
+  auto next_candidate = [&]() -> const RoutingDecision* {
+    while (launched < max_attempts && cursor < ranked.size() &&
+           !ctx.cancel.ShouldStop()) {
+      const RoutingDecision& decision = ranked[cursor++];
+      const std::size_t idx = decision.replica_index;
+      if (!health_->AllOk(idx)) {
+        std::shared_lock lock(sync_->state_mutex);
+        if (health_->AnyQuarantined(
+                idx, sketches_[idx].index.InvolvedPartitions(query)))
+          continue;
+      }
+      return &decision;
+    }
+    return nullptr;
+  };
+
+  // Walk the plan: fail over on faults, hedge once when a lone attempt
+  // outlives its threshold, and once no healthy candidate is left scan
+  // around the quarantined partitions (allow_partial).
+  std::optional<std::size_t> winner;    // the complete (or degraded) answer
+  std::optional<std::size_t> furthest;  // the deadline-truncated attempt
+  std::optional<std::size_t> hedge;     // the attempt the hedge launched
+  bool hedge_fired = false;
+  bool exhausted = false;
+  std::vector<std::size_t> excluded;
+  while (!winner) {
+    if (running.empty()) {
+      if (const RoutingDecision* next = next_candidate()) {
+        launch(*next, scan);
+      } else if (exhausted || ctx.cancel.ShouldStop()) {
+        break;
+      } else {
+        exhausted = true;
+        if (metrics) Count("failover.exhausted_total");
+        if (log.enabled()) {
+          log.Emit(obs::EventSeverity::kError, "failover.exhausted",
+                   "no healthy replica could serve the query",
+                   {obs::Field("attempts", launched),
+                    obs::Field("covering_replicas", ranking.covering)});
+        }
+        if (!ctx.allow_partial) break;
+        // The degraded scan, around the quarantined partitions of the
+        // replica that now loses the fewest (Ranking::fallback).
+        Ranking now;
+        {
+          std::shared_lock lock(sync_->state_mutex);
+          now = RankCandidates(query, model, policy);
+        }
+        if (!now.fallback) break;
+        excluded = std::move(now.lost);
+        std::sort(excluded.begin(), excluded.end());
+        ScanOptions options = scan;
+        options.exclude_partitions = excluded.empty() ? nullptr : &excluded;
+        launch(*now.fallback, options);
+      }
+    }
+
+    // Wait for an attempt to finish, or for a lone attempt to outlive its
+    // hedge threshold.
+    std::optional<std::size_t> finished;
+    {
+      std::unique_lock lock(board->mutex);
+      const auto any_done = [&] {
+        return std::any_of(running.begin(), running.end(),
+                           [&](std::size_t s) { return board->slots[s].done; });
+      };
+      if (hedging && !hedge_fired && !exhausted && running.size() == 1)
+        board->cv.wait_until(lock, board->slots[running.front()].hedge_at,
+                             any_done);
+      else
+        board->cv.wait(lock, any_done);
+      for (auto it = running.begin(); it != running.end(); ++it) {
+        if (!board->slots[*it].done) continue;
+        finished = *it;
+        board->slots[*it].collected = true;
+        running.erase(it);
+        break;
+      }
+    }
+    if (!finished) {  // the hedge timer fired
+      hedge_fired = true;
+      if (const RoutingDecision* backup = next_candidate()) {
+        hedge = launched;
+        launch(*backup, scan);
+      }
+      continue;
+    }
+    const Attempt& done = board->slots[*finished].attempt;
+    if (done.exception) {
+      for (const std::size_t s : running)
+        board->slots[s].token.Cancel(CancelReason::kAbandoned);
+      std::rethrow_exception(done.exception);
+    }
+    if (done.status == Attempt::Status::kOk ||
+        (exhausted && done.status == Attempt::Status::kTruncated)) {
+      winner = finished;  // the degraded scan is truncated by design
+    } else if (done.status == Attempt::Status::kTruncated) {
+      // Stopped by the deadline; the furthest one reports coverage.
+      if (!furthest || done.result.served_partitions.size() >
+                           board->slots[*furthest]
+                               .attempt.result.served_partitions.size())
+        furthest = finished;
+    } else if (log.enabled()) {
+      const std::size_t idx = board->slots[*finished].decision.replica_index;
+      log.Warn("failover", "read fault; failing over to next-cheapest replica",
+               {obs::Field("replica", names[idx]),
+                obs::Field("attempt", *finished + 1),
+                obs::Field("error", done.error)});
+    }
   }
-  const bool deadline_hit = ctx.cancel.DeadlineExpired();
-  if (success && routed.partial) {
-    // The serving scan was interrupted mid-flight (deadline). Callers
-    // that opted in get the prefix plus the exact coverage split; the
-    // rest get the structured deadline error reporting how far we got.
-    if (registry.enabled()) {
-      static obs::Counter& deadline_total =
-          registry.GetCounter("query.deadline_exceeded_total");
-      deadline_total.Increment();
-    }
-    if (!ctx.allow_partial) {
-      throw DeadlineExceededError(
-          "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-              "ms exceeded after " + std::to_string(attempts) +
-              " attempt(s); scanned " +
-              std::to_string(routed.result.served_partitions.size()) +
-              " of " +
-              std::to_string(routed.result.served_partitions.size() +
-                             routed.result.missed_partitions.size()) +
-              " involved partitions",
-          ctx.deadline_ms, attempts, routed.result.served_partitions.size(),
-          routed.result.missed_partitions.size());
-    }
-    if (registry.enabled()) {
-      static obs::Counter& partial_total =
-          registry.GetCounter("query.partial_total");
-      partial_total.Increment();
-    }
-  }
-  if (!success && deadline_hit) {
-    if (registry.enabled()) {
-      static obs::Counter& deadline_total =
-          registry.GetCounter("query.deadline_exceeded_total");
-      deadline_total.Increment();
-    }
-    // The deadline expired before any attempt completed (or between
-    // attempts). No records were assembled; every involved partition of
-    // the best candidate is missed.
-    const RoutingDecision& best = ranking.ranked.front();
-    std::vector<std::size_t> missed =
-        sketches_[best.replica_index].index.InvolvedPartitions(query);
-    std::sort(missed.begin(), missed.end());
-    if (!ctx.allow_partial) {
-      throw DeadlineExceededError(
-          "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-              "ms exceeded after " + std::to_string(attempts) +
-              " attempt(s); no attempt completed (0 of " +
-              std::to_string(missed.size()) + " involved partitions)",
-          ctx.deadline_ms, attempts, 0, missed.size());
-    }
-    if (registry.enabled()) {
-      static obs::Counter& partial_total =
-          registry.GetCounter("query.partial_total");
-      partial_total.Increment();
-    }
-    routed.result = QueryResult{};
-    routed.result.truncated = true;
-    routed.result.missed_partitions = std::move(missed);
-    routed.replica_index = best.replica_index;
-    routed.estimated_cost_ms = best.estimated_cost_ms;
-    routed.predicted_partitions = best.predicted_partitions;
-    routed.served_by = replicas_[best.replica_index].config().Name();
-    routed.partial = true;
-    success = true;
-  }
-  if (!success) {
-    if (registry.enabled()) {
-      static obs::Counter& exhausted_total =
-          registry.GetCounter("failover.exhausted_total");
-      exhausted_total.Increment();
-    }
-    obs::EventLog& log = obs::EventLog::Global();
-    if (log.enabled()) {
-      log.Emit(obs::EventSeverity::kError, "failover.exhausted",
-               "no healthy replica could serve the query",
-               {obs::Field("attempts", attempts),
-                obs::Field("covering_replicas", ranking.covering)});
-    }
-    if (ctx.allow_partial) {
-      // Graceful degradation: serve what survives by scanning around the
-      // quarantined partitions of the best covering replica.
-      return TryPartialFallback(query, model, policy, pool, ctx);
-    }
+  // The first complete answer wins: any loser is told to stop. It halts
+  // within one block and is reaped when it finishes.
+  for (const std::size_t s : running)
+    board->slots[s].token.Cancel(CancelReason::kHedgeLost);
+  if (metrics) Count("failover.attempts_total", launched);
+
+  // Finalize: the served answer, or exactly one of the two errors.
+  Attempt nothing;  // the deadline answer when no attempt got anywhere
+  Attempt* served = nullptr;
+  RoutingDecision decision;
+  bool degraded = false;
+  if (winner || furthest) {  // only the deadline truncates an attempt
+    const std::size_t s = winner ? *winner : *furthest;
+    served = &board->slots[s].attempt;
+    decision = board->slots[s].decision;
+    degraded = s != 0 || exhausted;
+  } else if (ctx.cancel.DeadlineExpired() && !ranked.empty()) {
+    // A scan under the expired token reports every involved partition of
+    // the best candidate missed.
+    decision = ranked.front();
+    ScanOptions expired = scan;
+    expired.cancel = &ctx.cancel;
+    RunAttempt(query, decision.replica_index, expired, nothing);
+    served = &nothing;
+    degraded = launched > 0;
+  } else {
+    std::shared_lock lock(sync_->state_mutex);
     throw UnservableError(query);
   }
-
-  routed.attempts = attempts;
-  routed.degraded = attempts > 1;
-  if (profiling) {
-    profile.replica_index = routed.replica_index;
-    profile.attempts = static_cast<std::uint32_t>(attempts);
-    profile.degraded = routed.degraded;
-    profile.estimated_cost_ms = routed.estimated_cost_ms;
-    profile.measured_cost_ms = routed.measured_cost_ms;
+  if (!winner) {
+    if (metrics) Count("query.deadline_exceeded_total");
+    const std::size_t scanned = served->result.served_partitions.size();
+    const std::size_t missed = served->result.missed_partitions.size();
+    if (!ctx.allow_partial) {
+      throw DeadlineExceededError(
+          "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
+              "ms exceeded after " + std::to_string(launched) +
+              " attempt(s); scanned " + std::to_string(scanned) + " of " +
+              std::to_string(scanned + missed) + " involved partitions",
+          ctx.deadline_ms, launched, scanned, missed);
+    }
   }
-  if (registry.enabled() && routed.degraded) {
-    static obs::Counter& rerouted_total =
-        registry.GetCounter("failover.queries_rerouted_total");
-    rerouted_total.Increment();
+
+  RoutedResult routed;
+  routed.result = std::move(served->result);
+  routed.replica_index = decision.replica_index;
+  routed.estimated_cost_ms = decision.estimated_cost_ms;
+  routed.predicted_partitions = decision.predicted_partitions;
+  routed.measured_cost_ms = served->ms;
+  routed.served_by = names[decision.replica_index];
+  routed.partial = routed.result.truncated;
+  routed.attempts = launched;
+  routed.degraded = degraded;
+  routed.hedged = hedge.has_value();
+  routed.hedge_backup_won = hedge && winner == hedge;
+
+  // The attempt log, stage times and execute spans, in launch order. A
+  // hedge loser's time overlapped the answer's: hedge time, not failover.
+  for (std::size_t i = 0; i < launched; ++i) {
+    const Slot& slot = board->slots[i];
+    const std::size_t idx = slot.decision.replica_index;
+    const bool serving = &slot.attempt == served;
+    const bool faulted =
+        slot.collected && slot.attempt.status != Attempt::Status::kOk;
+    const double ms = slot.collected ? slot.attempt.ms : 0.0;
+    const std::string fault =
+        serving ? "" : faulted ? slot.attempt.error : "hedge lost (cancelled)";
+    ctx.attempts.push_back({idx, names[idx], ms, serving, fault});
+    if (ctx.profiling && slot.collected) {
+      ctx.profile.MergeScanFrom(slot.attempt.profile);
+      ctx.profile.AddStage(serving   ? obs::Stage::kExecute
+                           : faulted ? obs::Stage::kFailover
+                                     : obs::Stage::kHedge,
+                           ms);
+    }
+    if (ctx.trace == nullptr) continue;
+    obs::TraceSpan& span = ctx.trace->AddChild("execute");
+    span.set_duration_ms(ms);
+    span.AddAttribute("attempt", std::uint64_t{i + 1});
+    span.AddAttribute("replica", names[idx]);
+    if (!serving) {
+      span.AddAttribute("fault", fault);
+      continue;
+    }
+    const QueryStats& stats = routed.result.stats;
+    span.AddAttribute("partitions_scanned",
+                      std::uint64_t{stats.partitions_scanned});
+    span.AddAttribute("records_scanned", stats.records_scanned);
+    span.AddAttribute("records_returned",
+                      std::uint64_t{routed.result.records.size()});
+    span.AddAttribute("bytes_read", stats.bytes_read);
+    if (PartitionCache::Global().enabled()) {
+      span.AddAttribute("cache_hits", std::uint64_t{stats.cache_hits});
+      span.AddAttribute("cache_misses", std::uint64_t{stats.cache_misses});
+    }
+  }
+  if (ctx.profiling) {
+    ctx.profile.replica_index = routed.replica_index;
+    ctx.profile.attempts = static_cast<std::uint32_t>(routed.attempts);
+    ctx.profile.degraded = routed.degraded;
+    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
+    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
+  }
+  if (log.enabled() && exhausted && routed.partial) {
+    log.Warn("query.partial", "serving partial result around lost partitions",
+             {obs::Field("replica", routed.served_by),
+              obs::Field("served", routed.result.served_partitions.size()),
+              obs::Field("missed",
+                         PartitionList(routed.result.missed_partitions))});
   }
   // A clean read clears suspicion: suspect involved partitions of the
-  // serving replica return to ok. A partial read proves nothing about
-  // the partitions it never reached, so it clears nothing.
+  // serving replica return to ok. A partial read proves nothing about the
+  // partitions it never reached, so it clears nothing.
   if (!routed.partial && !health_->AllOk(routed.replica_index)) {
+    std::shared_lock lock(sync_->state_mutex);
     for (const std::size_t p :
          sketches_[routed.replica_index].index.InvolvedPartitions(query)) {
       if (health_->Get(routed.replica_index, p) == PartitionHealth::kSuspect)
         health_->MarkOk(routed.replica_index, p);
     }
   }
-
-  if (trace != nullptr) {
-    trace->AddAttribute("replica", routed.served_by);
-    trace->AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
-    trace->AddAttribute("measured_cost_ms", routed.measured_cost_ms);
-    trace->AddAttribute(
-        "partitions_scanned",
-        std::uint64_t{routed.result.stats.partitions_scanned});
+  if (ctx.trace != nullptr) {
+    obs::TraceSpan& trace = *ctx.trace;
+    trace.AddAttribute("replica", routed.served_by);
+    trace.AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
+    trace.AddAttribute("measured_cost_ms", routed.measured_cost_ms);
+    trace.AddAttribute("partitions_scanned",
+                       std::uint64_t{routed.result.stats.partitions_scanned});
     if (routed.degraded) {
-      trace->AddAttribute("attempts", std::uint64_t{routed.attempts});
-      trace->AddAttribute("degraded", std::string("true"));
+      trace.AddAttribute("attempts", std::uint64_t{routed.attempts});
+      trace.AddAttribute("degraded", std::string("true"));
+    }
+    if (routed.hedged) {
+      trace.AddAttribute("hedged", std::string("true"));
+      trace.AddAttribute("hedge_backup_won",
+                         std::string(routed.hedge_backup_won ? "true"
+                                                             : "false"));
     }
     if (routed.partial) {
-      trace->AddAttribute(
-          "partial_served",
-          std::uint64_t{routed.result.served_partitions.size()});
-      trace->AddAttribute(
-          "partial_missed",
-          std::uint64_t{routed.result.missed_partitions.size()});
+      trace.AddAttribute("partial_served",
+                         std::uint64_t{routed.result.served_partitions.size()});
+      trace.AddAttribute("partial_missed",
+                         std::uint64_t{routed.result.missed_partitions.size()});
     }
   }
-  if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
+  if (metrics) RecordRoutedQuery(routed);
+
+  // Synchronous repair runs on this thread; background repair
+  // contributes only the submit.
+  const std::uint64_t repair_start = obs::MonotonicNanos();
+  MaybeScheduleRepairs(pool, policy);
+  if (ctx.profiling)
+    ctx.profile.AddStage(obs::Stage::kRepair,
+                         double(obs::MonotonicNanos() - repair_start) * 1e-6);
   return routed;
 }
 
@@ -656,33 +832,9 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   ctx.hedge_ms = options.hedge_ms;
   if (options.deadline_ms > 0.0)
     ctx.cancel = CancelToken::WithDeadline(options.deadline_ms);
-  else if (options.hedge_ms > 0.0)
-    ctx.cancel = CancelToken::Create();  // hedge losers need a live token
-  ThreadPool* pool = options.pool;
-  RoutedResult routed;
-  FailoverPolicy policy;
   const std::uint64_t start_ns = ctx.profiling ? obs::MonotonicNanos() : 0;
-  bool hedging = false;
-  {
-    std::shared_lock lock(sync_->state_mutex);
-    policy = policy_;  // per-query snapshot; retunes never tear a query
-    ctx.max_scan_parallelism = max_scan_parallelism_;
-    // Hedging needs a second replica to race; the coordinator manages
-    // its own locking (each attempt takes its own shared lock).
-    hedging = ctx.hedge_ms > 0.0 && replicas_.size() > 1;
-    if (!hedging)
-      routed = ExecuteWithFailover(query, model, policy, pool, ctx);
-  }
-  if (hedging) routed = ExecuteHedged(query, model, policy, pool, ctx);
-  const std::uint64_t repair_start =
-      ctx.profiling ? obs::MonotonicNanos() : 0;
-  MaybeScheduleRepairs(pool, policy);
+  RoutedResult routed = Coordinate(query, model, options.pool, ctx);
   if (ctx.profiling) {
-    // Synchronous repair runs on this thread between the shared-lock
-    // release and here; background repair contributes only the submit.
-    ctx.profile.AddStage(
-        obs::Stage::kRepair,
-        double(obs::MonotonicNanos() - repair_start) * 1e-6);
     ctx.profile.total_ms =
         double(obs::MonotonicNanos() - start_ns) * 1e-6;
     ObserveQueryTelemetry(query, ctx.profile);
@@ -694,530 +846,18 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   return routed;
 }
 
-BlotStore::RoutedResult BlotStore::TryPartialFallback(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy, ThreadPool* pool, QueryContext& ctx) {
-  (void)policy;
-  auto& registry = obs::MetricsRegistry::global();
-  // Pick the covering replica losing the fewest involved partitions to
-  // quarantine; ties go to the cheaper estimate. Even an all-quarantined
-  // candidate stays eligible — for an opted-in caller an empty answer
-  // with an honest coverage report beats an error.
-  std::size_t best = replicas_.size();
-  std::size_t best_lost = std::numeric_limits<std::size_t>::max();
-  double best_cost = 0.0;
-  std::vector<std::size_t> best_excluded;
-  for (std::size_t i = 0; i < sketches_.size(); ++i) {
-    if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
-      continue;
-    std::vector<std::size_t> quarantined;
-    for (const std::size_t p :
-         sketches_[i].index.InvolvedPartitions(query)) {
-      if (health_->Get(i, p) == PartitionHealth::kQuarantined)
-        quarantined.push_back(p);
-    }
-    const double cost = model.QueryCostMs(sketches_[i], query);
-    if (quarantined.size() < best_lost ||
-        (quarantined.size() == best_lost && cost < best_cost)) {
-      best = i;
-      best_lost = quarantined.size();
-      best_cost = cost;
-      best_excluded = std::move(quarantined);
-    }
-  }
-  if (best == replicas_.size()) throw UnservableError(query);
-  std::sort(best_excluded.begin(), best_excluded.end());
-
-  const Replica& rep = replicas_[best];
-  const std::string replica_name = rep.config().Name();
-  RoutedResult routed;
-  const std::uint64_t start_ns = obs::MonotonicNanos();
-  try {
-    ScanOptions scan_options;
-    scan_options.pool = pool;
-    scan_options.profile = ctx.profiling ? &ctx.profile : nullptr;
-    scan_options.max_parallelism = ctx.max_scan_parallelism;
-    scan_options.cancel = ctx.cancel.valid() ? &ctx.cancel : nullptr;
-    scan_options.exclude_partitions =
-        best_excluded.empty() ? nullptr : &best_excluded;
-    routed.result = rep.Execute(query, scan_options);
-  } catch (const PartitionFaultError& e) {
-    // Even the degraded scan faulted: quarantine what it named and give
-    // up — there is nothing left to serve from.
-    std::size_t newly_quarantined = 0;
-    for (const std::size_t p : e.partitions()) {
-      if (health_->Quarantine(best, p)) ++newly_quarantined;
-      PartitionCache::Global().Invalidate(rep.cache_id(), p);
-    }
-    RecordQuarantine(replica_name, e.partitions(), newly_quarantined, 0,
-                     health_->QuarantinedCount());
-    ctx.attempts.push_back({best, replica_name,
-                            double(obs::MonotonicNanos() - start_ns) * 1e-6,
-                            false, std::string(e.what())});
-    throw UnservableError(query);
-  }
-  routed.measured_cost_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-  routed.replica_index = best;
-  routed.estimated_cost_ms = best_cost;
-  routed.predicted_partitions = sketches_[best].index.CountInvolved(query);
-  routed.served_by = replica_name;
-  routed.partial = routed.result.truncated;
-  routed.degraded = true;
-  ctx.attempts.push_back(
-      {best, replica_name, routed.measured_cost_ms, true, {}});
-  routed.attempts = ctx.attempts.size();
-  if (ctx.profiling) {
-    ctx.profile.AddStage(obs::Stage::kExecute, routed.measured_cost_ms);
-    ctx.profile.replica_index = best;
-    ctx.profile.attempts = static_cast<std::uint32_t>(routed.attempts);
-    ctx.profile.degraded = true;
-    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-  }
-  if (registry.enabled()) {
-    static obs::Counter& partial_total =
-        registry.GetCounter("query.partial_total");
-    partial_total.Increment();
-    RecordRoutedQuery(routed.served_by, routed);
-  }
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && routed.partial) {
-    log.Warn("query.partial", "serving partial result around lost partitions",
-             {obs::Field("replica", replica_name),
-              obs::Field("served",
-                         routed.result.served_partitions.size()),
-              obs::Field("missed",
-                         PartitionList(routed.result.missed_partitions))});
-  }
-  return routed;
-}
-
-BlotStore::RoutedResult BlotStore::ExecuteHedged(const STRange& query,
-                                                 const CostModel& model,
-                                                 const FailoverPolicy& policy,
-                                                 ThreadPool* pool,
-                                                 QueryContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  const bool profiling = ctx.profiling;
-  auto& registry = obs::MetricsRegistry::global();
-
-  Ranking ranking;
-  std::array<std::string, 2> names;
-  const std::uint64_t route_start = profiling ? obs::MonotonicNanos() : 0;
-  {
-    std::shared_lock lock(sync_->state_mutex);
-    ranking = RankCandidates(query, model, policy);
-    require(ranking.covering > 0,
-            "BlotStore::RouteQuery: no replica can serve the query (add a "
-            "full replica)");
-    if (ranking.ranked.empty()) throw UnservableError(query);
-    if (ranking.ranked.size() < 2) {
-      // One healthy candidate: nothing to race — plain failover, under
-      // the shared lock the failover loop expects.
-      return ExecuteWithFailover(query, model, policy, pool, ctx);
-    }
-    names[0] = replicas_[ranking.ranked[0].replica_index].config().Name();
-    names[1] = replicas_[ranking.ranked[1].replica_index].config().Name();
-  }
-  if (profiling)
-    ctx.profile.AddStage(obs::Stage::kRoute,
-                         double(obs::MonotonicNanos() - route_start) * 1e-6);
-
-  struct HedgeAttempt {
-    bool done = false;
-    bool ok = false;
-    bool fault = false;
-    QueryResult result;
-    double ms = 0.0;
-    std::string error;
-    obs::QueryProfile profile;
-  };
-  struct HedgeRace {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::array<HedgeAttempt, 2> attempts;
-    std::array<CancelToken, 2> tokens;
-  };
-  auto race = std::make_shared<HedgeRace>();
-  // Child tokens observe the query deadline but cancel independently, so
-  // cancelling the loser never touches the winner.
-  race->tokens = {ctx.cancel.Child(), ctx.cancel.Child()};
-
-  // `query` is captured by value: the losing attempt may be parked
-  // un-joined in repair_futures and must not reference coordinator
-  // stack frames after Execute returns.
-  const std::size_t max_par = ctx.max_scan_parallelism;
-  auto run_attempt = [this, race, query, pool, profiling, max_par](
-                         std::size_t replica_idx, std::size_t slot) {
-    HedgeAttempt out;
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    // Each attempt holds its own shared lock: the coordinator holds none,
-    // so a queued writer can never wedge it between its attempts.
-    std::shared_lock lock(sync_->state_mutex);
-    try {
-      const Replica& rep = replicas_[replica_idx];
-      // The other attempt's fault may have quarantined this candidate
-      // since the ranking was computed.
-      if (!health_->AllOk(replica_idx) &&
-          health_->AnyQuarantined(
-              replica_idx,
-              sketches_[replica_idx].index.InvolvedPartitions(query))) {
-        out.error = "replica quarantined since ranking";
-      } else {
-        ScanOptions scan_options;
-        scan_options.pool = pool;
-        scan_options.profile = profiling ? &out.profile : nullptr;
-        scan_options.max_parallelism = max_par;
-        scan_options.cancel = &race->tokens[slot];
-        out.result = rep.Execute(query, scan_options);
-        // A truncated result means this attempt was cancelled (lost the
-        // race or hit the deadline); it is not a win, but its partial
-        // coverage stays available for the deadline path.
-        out.ok = !out.result.truncated;
-        if (!out.ok) out.error = "cancelled mid-scan";
-      }
-    } catch (const PartitionFaultError& e) {
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(replica_idx, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(replicas_[replica_idx].cache_id(),
-                                            p);
-      }
-      RecordQuarantine(replicas_[replica_idx].config().Name(),
-                       e.partitions(), newly_quarantined, 0,
-                       health_->QuarantinedCount());
-      out.error = e.what();
-      out.fault = true;
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    }
-    out.ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-    {
-      std::lock_guard<std::mutex> done_lock(race->mutex);
-      out.done = true;
-      race->attempts[slot] = std::move(out);
-    }
-    race->cv.notify_all();
-  };
-
-  const std::size_t primary = ranking.ranked[0].replica_index;
-  const std::size_t backup = ranking.ranked[1].replica_index;
-  // Hedge when the primary runs past the caller's floor or 2x its own
-  // learned expectation, whichever is larger (a cold LatencyMap
-  // contributes nothing).
-  double threshold_ms = ctx.hedge_ms;
-  const double expected = latency_->ExpectedMs(
-      primary, ranking.ranked[0].predicted_partitions);
-  if (expected > 0.0) threshold_ms = std::max(threshold_ms, 2.0 * expected);
-
-  auto primary_future =
-      std::async(std::launch::async, run_attempt, primary, std::size_t{0});
-  std::future<void> backup_future;
-  bool hedged = false;
-  {
-    std::unique_lock<std::mutex> wait_lock(race->mutex);
-    const auto hedge_at =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               threshold_ms));
-    race->cv.wait_until(wait_lock, hedge_at,
-                        [&] { return race->attempts[0].done; });
-    if (!race->attempts[0].done) {
-      hedged = true;
-      wait_lock.unlock();
-      backup_future = std::async(std::launch::async, run_attempt, backup,
-                                 std::size_t{1});
-      wait_lock.lock();
-    }
-    // Resolved: someone won, or every launched attempt is done (all
-    // failed / all cancelled by the deadline).
-    race->cv.wait(wait_lock, [&] {
-      const HedgeAttempt& a0 = race->attempts[0];
-      const HedgeAttempt& a1 = race->attempts[1];
-      if (a0.done && a0.ok) return true;
-      if (hedged && a1.done && a1.ok) return true;
-      return hedged ? (a0.done && a1.done) : a0.done;
-    });
-  }
-
-  int winner = -1;
-  HedgeAttempt win;
-  std::array<bool, 2> done_snapshot = {false, false};
-  std::array<double, 2> ms_snapshot = {0.0, 0.0};
-  std::array<std::string, 2> error_snapshot;
-  {
-    std::lock_guard<std::mutex> snap_lock(race->mutex);
-    if (race->attempts[0].done && race->attempts[0].ok)
-      winner = 0;
-    else if (hedged && race->attempts[1].done && race->attempts[1].ok)
-      winner = 1;
-    for (std::size_t s = 0; s < 2; ++s) {
-      done_snapshot[s] = race->attempts[s].done;
-      ms_snapshot[s] = race->attempts[s].ms;
-      error_snapshot[s] = race->attempts[s].error;
-    }
-    if (winner >= 0) win = std::move(race->attempts[winner]);
-  }
-  // First complete answer wins; tell the loser to stop (it halts within
-  // one block and its cache/quarantine effects remain valid).
-  if (winner == 0 && hedged)
-    race->tokens[1].Cancel(CancelReason::kHedgeLost);
-  if (winner == 1) race->tokens[0].Cancel(CancelReason::kHedgeLost);
-
-  // Done attempts join immediately; a still-running loser is parked with
-  // the background repairs (std::async futures block on destruction) and
-  // drained by WaitForRepairs / the destructor.
-  auto settle = [this](std::future<void>&& f) {
-    if (!f.valid()) return;
-    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      f.get();
-      return;
-    }
-    std::lock_guard<std::mutex> futures_lock(sync_->futures_mutex);
-    sync_->repair_futures.push_back(std::move(f));
-  };
-  settle(std::move(primary_future));
-  settle(std::move(backup_future));
-
-  if (registry.enabled() && hedged) {
-    static obs::Counter& fired_total =
-        registry.GetCounter("hedge.fired_total");
-    fired_total.Increment();
-  }
-
-  // Attempt log: primary first, then the backup if it launched.
-  const std::size_t launched = hedged ? 2 : 1;
-  for (std::size_t s = 0; s < launched; ++s) {
-    const std::size_t idx = s == 0 ? primary : backup;
-    const bool attempt_ok = winner == static_cast<int>(s);
-    ctx.attempts.push_back({idx, names[s],
-                            done_snapshot[s] ? ms_snapshot[s] : 0.0,
-                            attempt_ok,
-                            attempt_ok ? std::string()
-                            : done_snapshot[s]
-                                ? error_snapshot[s]
-                                : std::string("hedge lost (cancelled)")});
-  }
-
-  if (winner < 0) {
-    // Nobody produced a complete answer. With partial coverage banked by
-    // a deadline-cancelled attempt, report (or serve) that; otherwise
-    // fall back to the failover loop, which re-ranks around whatever the
-    // attempts quarantined and handles deadline/partial uniformly.
-    int best_partial = -1;
-    {
-      std::lock_guard<std::mutex> snap_lock(race->mutex);
-      std::size_t best_served = 0;
-      for (std::size_t s = 0; s < launched; ++s) {
-        const HedgeAttempt& a = race->attempts[s];
-        if (!a.done || !a.result.truncated) continue;
-        if (best_partial < 0 ||
-            a.result.served_partitions.size() > best_served) {
-          best_partial = static_cast<int>(s);
-          best_served = a.result.served_partitions.size();
-        }
-      }
-      if (best_partial >= 0) win = std::move(race->attempts[best_partial]);
-    }
-    if (ctx.cancel.DeadlineExpired() && best_partial >= 0) {
-      if (registry.enabled()) {
-        static obs::Counter& deadline_total =
-            registry.GetCounter("query.deadline_exceeded_total");
-        deadline_total.Increment();
-      }
-      const std::size_t served = win.result.served_partitions.size();
-      const std::size_t missed = win.result.missed_partitions.size();
-      if (!ctx.allow_partial) {
-        throw DeadlineExceededError(
-            "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-                "ms exceeded after " + std::to_string(launched) +
-                " attempt(s); scanned " + std::to_string(served) + " of " +
-                std::to_string(served + missed) + " involved partitions",
-            ctx.deadline_ms, launched, served, missed);
-      }
-      if (registry.enabled()) {
-        static obs::Counter& partial_total =
-            registry.GetCounter("query.partial_total");
-        partial_total.Increment();
-      }
-      const std::size_t widx = best_partial == 0 ? primary : backup;
-      const RoutingDecision& decision = ranking.ranked[best_partial];
-      RoutedResult routed;
-      routed.result = std::move(win.result);
-      routed.replica_index = widx;
-      routed.estimated_cost_ms = decision.estimated_cost_ms;
-      routed.predicted_partitions = decision.predicted_partitions;
-      routed.measured_cost_ms = win.ms;
-      routed.served_by = names[best_partial];
-      routed.attempts = launched;
-      routed.degraded = best_partial != 0;
-      routed.hedged = hedged;
-      routed.hedge_backup_won = best_partial == 1;
-      routed.partial = true;
-      if (profiling) {
-        ctx.profile.MergeScanFrom(win.profile);
-        ctx.profile.AddStage(obs::Stage::kExecute, win.ms);
-        ctx.profile.replica_index = widx;
-        ctx.profile.attempts = static_cast<std::uint32_t>(launched);
-        ctx.profile.degraded = routed.degraded;
-        ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-        ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-      }
-      if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
-      return routed;
-    }
-    std::shared_lock lock(sync_->state_mutex);
-    return ExecuteWithFailover(query, model, policy, pool, ctx);
-  }
-
-  const RoutingDecision& decision = ranking.ranked[winner];
-  const std::size_t widx = winner == 0 ? primary : backup;
-  RoutedResult routed;
-  routed.result = std::move(win.result);
-  routed.replica_index = widx;
-  routed.estimated_cost_ms = decision.estimated_cost_ms;
-  routed.predicted_partitions = decision.predicted_partitions;
-  routed.measured_cost_ms = win.ms;
-  routed.served_by = names[winner];
-  routed.attempts = launched;
-  // A hedge win is not a failover: routing's first choice still served
-  // unless the backup beat it.
-  routed.degraded = winner != 0;
-  routed.hedged = hedged;
-  routed.hedge_backup_won = winner == 1;
-
-  // Complete attempts (winner, and a loser that finished before the
-  // cancel landed) teach the latency map — including the slowness that
-  // triggered the hedge, which is exactly the brownout signal.
-  for (std::size_t s = 0; s < launched; ++s) {
-    bool complete = false;
-    std::size_t scanned = 0;
-    if (static_cast<int>(s) == winner) {
-      complete = true;
-      scanned = routed.result.stats.partitions_scanned;
-    } else {
-      std::lock_guard<std::mutex> snap_lock(race->mutex);
-      const HedgeAttempt& a = race->attempts[s];
-      if (a.done && a.ok) {
-        complete = true;
-        scanned = a.result.stats.partitions_scanned;
-      }
-    }
-    if (complete)
-      latency_->Observe(s == 0 ? primary : backup, scanned, ms_snapshot[s]);
-  }
-
-  if (profiling) {
-    ctx.profile.MergeScanFrom(win.profile);
-    ctx.profile.AddStage(obs::Stage::kExecute, win.ms);
-    if (hedged && winner == 0 && done_snapshot[1])
-      ctx.profile.AddStage(obs::Stage::kHedge, ms_snapshot[1]);
-    if (winner == 1 && done_snapshot[0])
-      ctx.profile.AddStage(obs::Stage::kHedge, ms_snapshot[0]);
-    ctx.profile.replica_index = widx;
-    ctx.profile.attempts = static_cast<std::uint32_t>(launched);
-    ctx.profile.degraded = routed.degraded;
-    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-  }
-  if (registry.enabled()) {
-    static obs::Counter& attempts_total =
-        registry.GetCounter("failover.attempts_total");
-    attempts_total.Increment(launched);
-    if (routed.hedge_backup_won) {
-      static obs::Counter& backup_wins =
-          registry.GetCounter("hedge.backup_wins_total");
-      backup_wins.Increment();
-    }
-  }
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && hedged) {
-    log.Info("hedge", routed.hedge_backup_won
-                          ? "backup attempt won the hedged race"
-                          : "primary finished; backup cancelled",
-             {obs::Field("primary", names[0]),
-              obs::Field("backup", names[1]),
-              obs::Field("winner_ms", routed.measured_cost_ms)});
-  }
-  // A clean full read clears suspicion on the winner's involved
-  // partitions (same contract as the failover loop).
-  if (!health_->AllOk(widx)) {
-    std::shared_lock lock(sync_->state_mutex);
-    for (const std::size_t p :
-         sketches_[widx].index.InvolvedPartitions(query)) {
-      if (health_->Get(widx, p) == PartitionHealth::kSuspect)
-        health_->MarkOk(widx, p);
-    }
-  }
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddAttribute("replica", routed.served_by);
-    ctx.trace->AddAttribute("hedged", std::string(hedged ? "true" : "false"));
-    if (hedged)
-      ctx.trace->AddAttribute(
-          "hedge_backup_won",
-          std::string(routed.hedge_backup_won ? "true" : "false"));
-    ctx.trace->AddAttribute("measured_cost_ms", routed.measured_cost_ms);
-  }
-  if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
-  return routed;
-}
-
 void BlotStore::ObserveQueryTelemetry(const STRange& query,
                                       const obs::QueryProfile& profile) {
   obs::RecordProfile(profile);  // per-stage histograms (registry-gated)
-  Telemetry& t = *telemetry_;
-  t.cost_drift.Observe(profile);
-
-  std::lock_guard lock(t.workload_mutex);
-  t.workload.Observe(query.Size());
-  const std::size_t n = t.workload.observations();
-  if (!t.workload_drift.has_value()) {
-    if (n >= Telemetry::kWorkloadWarmup)
-      t.workload_drift.emplace(t.workload.Snapshot());
-    return;
-  }
-  if (n % Telemetry::kWorkloadCheckInterval != 0) return;
-  const Workload current = t.workload.Snapshot();
-  const double distance = t.workload_drift->DistanceTo(current);
-  auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled())
-    registry.GetGauge("drift.workload_distance").Set(distance);
-  const bool drifted = t.workload_drift->HasDrifted(current);
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled()) {
-    if (drifted && !t.workload_alerting) {
-      log.Warn("workload_drift.alert",
-               "live workload drifted from the selection reference",
-               {obs::Field("distance", distance),
-                obs::Field("observations", n)});
-    } else if (!drifted && t.workload_alerting) {
-      log.Info("workload_drift.clear",
-               "live workload back near the selection reference",
-               {obs::Field("distance", distance),
-                obs::Field("observations", n)});
-    }
-  }
-  t.workload_alerting = drifted;
+  telemetry_->cost_drift.Observe(profile);
+  telemetry_->workload.Observe(query.Size());
 }
 
 double BlotStore::WorkloadDriftDistance() const {
-  Telemetry& t = *telemetry_;
-  std::lock_guard lock(t.workload_mutex);
-  if (!t.workload_drift.has_value() || t.workload.observations() == 0)
-    return 0.0;
-  return t.workload_drift->DistanceTo(t.workload.Snapshot());
+  return telemetry_->workload.Distance();
 }
 
-void BlotStore::RebaseWorkloadReference() {
-  Telemetry& t = *telemetry_;
-  std::lock_guard lock(t.workload_mutex);
-  t.workload_alerting = false;
-  if (t.workload.observations() == 0) {
-    t.workload_drift.reset();
-    return;
-  }
-  t.workload_drift.emplace(t.workload.Snapshot());
-}
+void BlotStore::RebaseWorkloadReference() { telemetry_->workload.Rebase(); }
 
 void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
                                      const FailoverPolicy& policy) {
@@ -1227,17 +867,26 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
     RepairQuarantined(pool, policy.repair_budget);
     return;
   }
-  std::lock_guard lock(sync_->futures_mutex);
   const std::size_t budget = policy.repair_budget;
-  sync_->repair_futures.push_back(pool->Submit([this, budget] {
+  sync_->BeginBackground();
+  pool->Submit([this, budget] {
     // try_to_lock: a repair task blocking on a query that is itself
     // waiting for pool workers would deadlock the pool; if the store is
     // busy the partitions stay quarantined and the next query
     // reschedules the repair.
-    std::unique_lock lock(sync_->state_mutex, std::try_to_lock);
-    if (!lock.owns_lock()) return;
-    RepairQuarantinedLocked(nullptr, budget);
-  }));
+    {
+      std::unique_lock lock(sync_->state_mutex, std::try_to_lock);
+      if (lock.owns_lock()) {
+        try {
+          RepairQuarantinedLocked(nullptr, budget);
+        } catch (...) {
+          // A background task must never take the store down; repair
+          // failures are already counted in repair.failed_total.
+        }
+      }
+    }
+    sync_->EndBackground();
+  });
 }
 
 std::size_t BlotStore::RepairQuarantined(ThreadPool* pool,
@@ -1267,11 +916,7 @@ std::size_t BlotStore::RepairQuarantinedLocked(ThreadPool* pool,
     } catch (const Error& e) {
       // No healthy source: the partition stays quarantined; queries keep
       // routing around it and a later repair pass retries.
-      if (registry.enabled()) {
-        static obs::Counter& failed_total =
-            registry.GetCounter("repair.failed_total");
-        failed_total.Increment();
-      }
+      if (registry.enabled()) Count("repair.failed_total");
       if (obs::EventLog::Global().enabled()) {
         obs::EventLog::Global().Warn(
             "repair.failed", "partition repair failed; stays quarantined",
@@ -1282,11 +927,9 @@ std::size_t BlotStore::RepairQuarantinedLocked(ThreadPool* pool,
       }
     }
   }
-  if (registry.enabled()) {
-    static obs::Gauge& active_gauge =
-        registry.GetGauge("quarantine.active");
-    active_gauge.Set(static_cast<double>(health_->QuarantinedCount()));
-  }
+  if (registry.enabled())
+    registry.GetGauge("quarantine.active")
+        .Set(static_cast<double>(health_->QuarantinedCount()));
   return repaired;
 }
 
@@ -1311,6 +954,16 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
           "BlotStore::RecoverPartition: bad partition");
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t start_ns = obs::MonotonicNanos();
+  // Sources: the caller's choice, else every other replica covering
+  // `range`.
+  auto sources_for = [&](const STRange& range) {
+    std::vector<std::size_t> sources;
+    for (std::size_t r = 0; r < replicas_.size(); ++r)
+      if (source ? r == *source
+                 : r != target && replicas_[r].universe().Contains(range))
+        sources.push_back(r);
+    return sources;
+  };
 
   // Membership oracle: which records belong in this partition is decided
   // by the partitioner (equal-count median splits with order-dependent
@@ -1335,11 +988,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
   if (!canonical) {
     // The replica's layout is not re-derivable (e.g. it was previously
     // rebuilt from another replica's record order): rebuild it whole.
-    if (registry.enabled()) {
-      static obs::Counter& full_rebuilds =
-          registry.GetCounter("repair.full_rebuilds_total");
-      full_rebuilds.Increment();
-    }
+    if (registry.enabled()) Count("repair.full_rebuilds_total");
     if (obs::EventLog::Global().enabled()) {
       obs::EventLog::Global().Warn(
           "repair.full_rebuild",
@@ -1347,15 +996,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
           {obs::Field("replica", rep.config().Name()),
            obs::Field("partition", partition)});
     }
-    std::vector<std::size_t> sources;
-    if (source.has_value()) {
-      sources.push_back(*source);
-    } else {
-      for (std::size_t r = 0; r < replicas_.size(); ++r)
-        if (r != target &&
-            replicas_[r].universe().Contains(rep.universe()))
-          sources.push_back(r);
-    }
+    const std::vector<std::size_t> sources = sources_for(rep.universe());
     require(!sources.empty(),
             "BlotStore::RecoverPartition: no replica covers the target");
     for (std::size_t r : sources) {
@@ -1379,14 +1020,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
     expected.push_back(logical->records()[idx]);
   const STRange needed = rep.index().Range(partition);
 
-  std::vector<std::size_t> sources;
-  if (source.has_value()) {
-    sources.push_back(*source);
-  } else {
-    for (std::size_t r = 0; r < replicas_.size(); ++r)
-      if (r != target && replicas_[r].universe().Contains(needed))
-        sources.push_back(r);
-  }
+  const std::vector<std::size_t> sources = sources_for(needed);
   require(!sources.empty(),
           "BlotStore::RecoverPartition: no replica covers partition " +
               std::to_string(partition));
@@ -1399,13 +1033,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
       if (!MultisetContains(fetched.records, expected)) continue;
     } catch (const PartitionFaultError& e) {
       // The source's own copies are bad: contain the damage and move on.
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(r, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(replicas_[r].cache_id(), p);
-      }
-      RecordQuarantine(replicas_[r].config().Name(), e.partitions(),
-                       newly_quarantined, 0, health_->QuarantinedCount());
+      QuarantineFault(*health_, r, replicas_[r], e);
       continue;
     }
     rep.RestorePartition(partition, expected);
@@ -1414,15 +1042,9 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
     const double repair_ms_elapsed =
         double(obs::MonotonicNanos() - start_ns) * 1e-6;
     if (registry.enabled()) {
-      static obs::Counter& partitions_total =
-          registry.GetCounter("repair.partitions_total");
-      static obs::Counter& records_total =
-          registry.GetCounter("repair.records_total");
-      static obs::Histogram& repair_ms =
-          registry.GetHistogram("repair.ms");
-      partitions_total.Increment();
-      records_total.Increment(expected.size());
-      repair_ms.Observe(repair_ms_elapsed);
+      Count("repair.partitions_total");
+      Count("repair.records_total", expected.size());
+      registry.GetHistogram("repair.ms").Observe(repair_ms_elapsed);
     }
     if (obs::EventLog::Global().enabled()) {
       obs::EventLog::Global().Info(
@@ -1453,6 +1075,13 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
   // Queries whose group's shared scan failed; retried one-by-one through
   // the failover path after the shared lock is released.
   std::vector<std::size_t> fallback;
+  auto add_stats = [&result](const QueryStats& stats) {
+    result.stats.partitions_scanned += stats.partitions_scanned;
+    result.stats.records_scanned += stats.records_scanned;
+    result.stats.bytes_read += stats.bytes_read;
+    result.stats.cache_hits += stats.cache_hits;
+    result.stats.cache_misses += stats.cache_misses;
+  };
   std::uint64_t route_done_ns = start_ns;
   std::uint64_t scans_done_ns = start_ns;
   {
@@ -1483,12 +1112,15 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
             ::blot::ExecuteBatch(replicas_[replica], group, pool);
         for (std::size_t j = 0; j < query_ids.size(); ++j)
           result.per_query[query_ids[j]] = std::move(batch.per_query[j]);
-        result.stats.partitions_scanned += batch.stats.partitions_scanned;
-        result.stats.records_scanned += batch.stats.records_scanned;
-        result.stats.bytes_read += batch.stats.bytes_read;
-        result.stats.cache_hits += batch.stats.cache_hits;
-        result.stats.cache_misses += batch.stats.cache_misses;
+        add_stats(batch.stats);
         result.naive_partition_scans += batch.naive_partition_scans;
+        // Fallback queries are recorded by Execute(); count the
+        // shared-scan ones here.
+        if (profiling)
+          obs::MetricsRegistry::global()
+              .GetCounter("query.routed_total",
+                          {{"replica", replicas_[replica].config().Name()}})
+              .Increment(query_ids.size());
       } catch (const CorruptData&) {
         // The shared scan cannot attribute the fault to one partition:
         // mark the group's involved partitions suspect (two strikes
@@ -1499,18 +1131,13 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
         for (const std::size_t q : query_ids) {
           for (const std::size_t p :
                sketches_[replica].index.InvolvedPartitions(queries[q])) {
+            // ok -> suspect, or a second strike: suspect -> quarantined.
             const PartitionHealth before = health_->Get(replica, p);
             const PartitionHealth after = health_->MarkSuspect(replica, p);
-            if (after == PartitionHealth::kSuspect &&
-                before == PartitionHealth::kOk) {
-              ++newly_suspect;
-              affected.push_back(p);
-            }
-            if (after == PartitionHealth::kQuarantined &&
-                before != PartitionHealth::kQuarantined) {
-              ++newly_quarantined;
-              affected.push_back(p);
-            }
+            if (after == before) continue;
+            ++(after == PartitionHealth::kQuarantined ? newly_quarantined
+                                                      : newly_suspect);
+            affected.push_back(p);
           }
         }
         RecordQuarantine(replicas_[replica].config().Name(), affected,
@@ -1528,11 +1155,7 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     RoutedResult routed = Execute(queries[q], model, pool);
     result.per_query[q] = std::move(routed.result.records);
     result.replica_of[q] = routed.replica_index;
-    result.stats.partitions_scanned += routed.result.stats.partitions_scanned;
-    result.stats.records_scanned += routed.result.stats.records_scanned;
-    result.stats.bytes_read += routed.result.stats.bytes_read;
-    result.stats.cache_hits += routed.result.stats.cache_hits;
-    result.stats.cache_misses += routed.result.stats.cache_misses;
+    add_stats(routed.result.stats);
     result.naive_partition_scans += routed.result.stats.partitions_scanned;
   }
   const std::uint64_t end_ns = obs::MonotonicNanos();
@@ -1561,40 +1184,17 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     profile.total_ms = result.measured_ms;
   }
 
-  auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled()) {
-    // Fallback queries were recorded by Execute() already; count only the
-    // shared-scan queries here.
-    std::vector<bool> via_fallback(queries.size(), false);
-    for (const std::size_t q : fallback) via_fallback[q] = true;
-    const std::size_t shared_scan_queries = queries.size() - fallback.size();
-    static obs::Counter& batches_total =
-        registry.GetCounter("query.batches_total");
-    static obs::Counter& batch_queries =
-        registry.GetCounter("query.batch_queries_total");
-    static obs::Counter& partitions_scanned =
-        registry.GetCounter("query.batch_partitions_scanned_total");
-    static obs::Counter& scans_saved =
-        registry.GetCounter("query.batch_shared_scans_saved_total");
-    static obs::Histogram& batch_ms =
-        registry.GetHistogram("query.batch_measured_ms");
-    static obs::Counter& routed_total =
-        registry.GetCounter("query.routed_total");
-    batches_total.Increment();
-    batch_queries.Increment(queries.size());
-    routed_total.Increment(shared_scan_queries);
-    partitions_scanned.Increment(result.stats.partitions_scanned);
-    scans_saved.Increment(result.naive_partition_scans -
-                          result.stats.partitions_scanned);
-    batch_ms.Observe(result.measured_ms);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      if (via_fallback[q]) continue;
-      registry
-          .GetCounter("query.routed_total",
-                      {{"replica",
-                        replicas_[result.replica_of[q]].config().Name()}})
-          .Increment();
-    }
+  if (profiling) {
+    Count("query.batches_total");
+    Count("query.batch_queries_total", queries.size());
+    Count("query.routed_total", queries.size() - fallback.size());
+    Count("query.batch_partitions_scanned_total",
+          result.stats.partitions_scanned);
+    Count("query.batch_shared_scans_saved_total",
+          result.naive_partition_scans - result.stats.partitions_scanned);
+    obs::MetricsRegistry::global()
+        .GetHistogram("query.batch_measured_ms")
+        .Observe(result.measured_ms);
   }
   return result;
 }
@@ -1703,10 +1303,7 @@ BlotStore BlotStore::Load(const std::filesystem::path& directory) {
     Replica replica = SegmentStore::Load(directory / ReplicaDirName(i));
     validate(store.universe_.Contains(replica.universe()),
              "BlotStore::Load: replica outside store universe");
-    store.replicas_.push_back(std::move(replica));
-    store.sketches_.push_back(
-        ReplicaSketch::FromReplica(store.replicas_.back()));
-    store.health_->AddReplica(store.replicas_.back().NumPartitions());
+    store.AdoptReplica(std::move(replica));
   }
   return store;
 }

@@ -17,8 +17,8 @@
 #ifndef BLOT_CORE_STORE_H_
 #define BLOT_CORE_STORE_H_
 
+#include <condition_variable>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -115,16 +115,16 @@ class BlotStore {
   explicit BlotStore(Dataset dataset,
                      std::optional<STRange> universe = std::nullopt);
 
-  // Waits for outstanding background repairs.
+  // Waits for outstanding background work (WaitForRepairs).
   ~BlotStore();
 
   // Moves wait for the source's (and, on assignment, the target's)
-  // outstanding background repairs first: repair tasks capture the
-  // store's address, so transferring the state out from under a running
-  // task would leave it dereferencing a gutted object. (The previously
-  // defaulted moves did exactly that — see the regression test.) Moving
-  // while queries are concurrently executing remains undefined, as for
-  // any standard container.
+  // outstanding background work first: repair tasks and cancelled hedge
+  // attempts capture the store's address, so transferring the state out
+  // from under a running task would leave it dereferencing a gutted
+  // object. (The previously defaulted moves did exactly that — see the
+  // regression test.) Moving while queries are concurrently executing
+  // remains undefined, as for any standard container.
   BlotStore(BlotStore&& other) noexcept;
   BlotStore& operator=(BlotStore&& other) noexcept;
 
@@ -193,16 +193,17 @@ class BlotStore {
     double estimated_cost_ms = 0.0;   // the cost model's prediction (Eq. 7)
     double measured_cost_ms = 0.0;    // wall clock of the real execution
     std::size_t predicted_partitions = 0;  // Np from the routing sketch
-    // Execution attempts spent (1 = first-choice replica succeeded).
+    // Execution attempts launched, hedge backups included (1 = the
+    // first-choice replica answered alone).
     std::size_t attempts = 1;
-    // True when the first-choice replica failed and the result came from
-    // a failover replica (correct, but routing was not optimal).
+    // True when the answer did not come from the first attempt (failover,
+    // a winning hedge backup, or a partial scan around lost partitions).
     bool degraded = false;
     std::string served_by;  // config name of the serving replica
     // Process-unique id of this execution (QueryContext::query_id).
     std::uint64_t query_id = 0;
-    // One entry per failover-loop attempt, in order (the last entry is
-    // the serving replica when the query succeeded).
+    // One entry per attempt, in launch order; `attempts` is its size and
+    // the serving attempt is the one marked `success`.
     std::vector<QueryAttempt> attempt_log;
     // Per-stage breakdown of this query (docs/observability.md).
     // Populated when the global metrics registry is enabled or a trace
@@ -240,6 +241,11 @@ class BlotStore {
     // first complete answer wins and the loser is cancelled.
     double hedge_ms = 0.0;
   };
+
+  // Threads of the store-owned executor that runs a query's attempts when
+  // a hedge can fire; made on the first such query, kept for the store's
+  // lifetime, so no query creates an OS thread.
+  static constexpr std::size_t kAttemptThreads = 8;
 
   // Routes `query` to the cheapest healthy replica under `model` and
   // executes it. Requires at least one replica. Read faults quarantine
@@ -332,7 +338,9 @@ class BlotStore {
   std::size_t RepairQuarantined(ThreadPool* pool = nullptr,
                                 std::size_t budget = 0);
 
-  // Blocks until background repairs scheduled by Execute complete.
+  // Blocks until the store's background work is reaped: kBackground
+  // repairs and cancelled hedge attempts still running after their query
+  // returned (both counted by the store.background_inflight gauge).
   void WaitForRepairs();
 
   // Persists the whole store: the logical dataset plus every replica
@@ -346,53 +354,51 @@ class BlotStore {
   static BlotStore Load(const std::filesystem::path& directory);
 
  private:
-  // Background repairs and replica mutation synchronize on `state_mutex`:
-  // queries hold it shared, repair holds it unique. Boxed so BlotStore
-  // stays movable.
+  // Replica mutation holds `state_mutex` unique, every execution attempt
+  // shared. Background work is counted in `inflight` from submission to
+  // completion. Boxed so BlotStore stays movable.
   struct SyncState {
     std::shared_mutex state_mutex;
-    std::mutex futures_mutex;
-    std::vector<std::future<void>> repair_futures;
+    std::mutex inflight_mutex;
+    std::condition_variable inflight_cv;
+    std::size_t inflight = 0;  // guarded by inflight_mutex
+    std::once_flag executor_once;
+    std::unique_ptr<ThreadPool> executor;  // see kAttemptThreads
+
+    void BeginBackground();
+    void EndBackground();  // a task's last touch of the store
   };
 
   struct Ranking {
-    std::vector<RoutingDecision> ranked;  // best first
+    std::vector<RoutingDecision> ranked;  // healthy candidates, best first
     std::size_t covering = 0;             // replicas able to serve at all
+    // The covering replica losing the fewest involved partitions to
+    // quarantine (ties: cheaper estimate), and those partitions.
+    std::optional<RoutingDecision> fallback;
+    std::vector<std::size_t> lost;
   };
 
   // Health-aware candidate ranking; no locking (callers hold state_mutex).
   Ranking RankCandidates(const STRange& query, const CostModel& model,
                          const FailoverPolicy& policy) const;
-  // Builds the QueryFailedError for `query` from the current health map.
+  // Builds the QueryFailedError for `query` from the current health map;
+  // no locking (callers hold state_mutex).
   QueryFailedError UnservableError(const STRange& query) const;
 
-  // The failover loop; caller holds state_mutex shared. All per-query
-  // state (profile, trace, attempt log) lives in `ctx`; shared state is
-  // only touched through the internally synchronized HealthMap, cache
-  // and metrics.
-  RoutedResult ExecuteWithFailover(const STRange& query,
-                                   const CostModel& model,
-                                   const FailoverPolicy& policy,
-                                   ThreadPool* pool, QueryContext& ctx);
-  // Hedged-read coordinator (ctx.hedge_ms > 0 and >= 2 covering
-  // replicas): runs the primary attempt on its own thread, races a
-  // backup on the next-cheapest replica if the primary exceeds the hedge
-  // threshold, returns the first complete answer and cancels the loser.
-  // Unlike ExecuteWithFailover the caller holds NO lock; each attempt
-  // takes its own shared lock so a queued writer cannot deadlock the
-  // coordinator against its attempts.
-  RoutedResult ExecuteHedged(const STRange& query, const CostModel& model,
-                             const FailoverPolicy& policy, ThreadPool* pool,
-                             QueryContext& ctx);
-  // Graceful degradation after failover exhausted every healthy replica:
-  // serves what remains by scanning the best covering replica around its
-  // quarantined partitions, reporting them as missed. Caller holds
-  // state_mutex shared. Throws UnservableError when even that fails.
-  RoutedResult TryPartialFallback(const STRange& query,
-                                  const CostModel& model,
-                                  const FailoverPolicy& policy,
-                                  ThreadPool* pool, QueryContext& ctx);
-  // Per-policy repair scheduling after a query released the shared lock.
+  struct Attempt;  // one execution attempt's outcome
+  // The attempt runner: scans `replica` under its own shared lock; the
+  // only place that quarantines on a read fault and that feeds the
+  // LatencyMap.
+  void RunAttempt(const STRange& query, std::size_t replica,
+                  const ScanOptions& scan, Attempt& out);
+  // The coordinator: routes, walks the plan under the policy (attempts,
+  // hedge, deadline, allow_partial) inline or — when a hedge can fire —
+  // on the attempt executor, finalizes the RoutedResult and schedules
+  // repair. Holds no lock itself.
+  RoutedResult Coordinate(const STRange& query, const CostModel& model,
+                          ThreadPool* pool, QueryContext& ctx);
+  ThreadPool& AttemptExecutor();
+  // Per-policy repair scheduling once a query's attempts are done.
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
 
   // Feeds one finished query's profile into the continuous-telemetry
@@ -401,7 +407,9 @@ class BlotStore {
   void ObserveQueryTelemetry(const STRange& query,
                              const obs::QueryProfile& profile);
 
-  // Implementations that assume state_mutex is held unique.
+  // Implementations that assume state_mutex is held unique. AdoptReplica
+  // registers a built replica with the sketches, health and latency maps.
+  std::size_t AdoptReplica(Replica replica);
   std::uint64_t RecoverReplicaFromLocked(std::size_t i, std::size_t source,
                                          ThreadPool* pool);
   std::uint64_t RecoverPartitionLocked(std::size_t target,
@@ -413,16 +421,7 @@ class BlotStore {
   // Continuous-telemetry state, boxed so BlotStore stays movable.
   struct Telemetry {
     obs::CostDriftMonitor cost_drift;
-    std::mutex workload_mutex;  // guards the three fields below
-    WorkloadTracker workload;
-    std::optional<DriftMonitor> workload_drift;  // set after warmup
-    bool workload_alerting = false;
-    // The live workload needs a few queries before a snapshot is
-    // meaningful; the first snapshot becomes the drift reference.
-    static constexpr std::size_t kWorkloadWarmup = 64;
-    // Distance is recomputed every this many observations (snapshotting
-    // the tracker is not free).
-    static constexpr std::size_t kWorkloadCheckInterval = 32;
+    WorkloadDriftWatch workload;
   };
 
   Dataset dataset_;

@@ -98,9 +98,10 @@ struct QueryProfile {
 
   // Folds another profile's scan sub-stages (everything past the
   // top-level stages) and scan-shape counters into this one. Used by the
-  // hedged-read coordinator: each racing attempt fills its own profile
-  // off-thread, and the winner's is merged into the query's profile
-  // after the race — the query profile is never written concurrently.
+  // store's attempt coordinator: each attempt fills its own profile
+  // (racing ones off-thread), and the coordinator merges the attempts it
+  // collected into the query's profile — which is never written
+  // concurrently.
   void MergeScanFrom(const QueryProfile& other);
 
   // |measured - estimated| / measured * 100, 0 when unmeasured.

@@ -2,7 +2,7 @@
 //
 // A CancelToken is a cheap, shared flag (plus an optional monotonic
 // deadline) that long-running work polls at natural boundaries: the
-// failover loop checks it per attempt, Replica::Execute per partition,
+// attempt loop checks it per attempt, Replica::Execute per partition,
 // and the blocked-format scan kernels every kScanBlockRecords records —
 // so a cancelled parallel scan stops within one block of the request.
 // Cancellation is always *cooperative*: nothing is interrupted

@@ -5,6 +5,10 @@
 // feeding back into routing (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,8 +18,12 @@
 #include "core/fault_injection.h"
 #include "core/latency_map.h"
 #include "core/store.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "simenv/environment.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace blot {
 namespace {
@@ -42,6 +50,27 @@ FaultPlan StallPlan(double stall_ms, const std::string& replica) {
   plan.latency_ms = static_cast<std::uint32_t>(stall_ms);
   plan.replica = replica;
   return plan;
+}
+
+// Fails reads of every storage unit of `replica` with an attributed read
+// error, `fires` times per unit (0 = until repaired).
+FaultPlan ReadErrorPlan(const std::string& replica, std::uint32_t fires = 0) {
+  FaultPlan plan;
+  plan.seed = 29;
+  plan.probability = 1.0;
+  plan.kinds = {FaultKind::kReadError};
+  plan.max_fires_per_target = fires;
+  plan.replica = replica;
+  return plan;
+}
+
+// The ids of this process's threads.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(entry.path().filename().string());
+  return ids;
 }
 
 // A store with two near-peer replicas (same partitioning, sibling
@@ -227,6 +256,128 @@ TEST(HedgingTest, ObservedStallsFeedBrownoutReroute) {
             LatencyMap::kMinObservations);
   EXPECT_GT(store.latency().BrownoutPenalty(primary), 1.0);
   EXPECT_NE(store.RouteQueryDetailed(query, Model()).replica_index, primary);
+}
+
+// --- One attempt loop: hedged and unhedged queries count alike ---------
+
+TEST(HedgingTest, ReadFaultOnPrimaryCountsLikeUnhedgedFailover) {
+  const TaxiFixture fixture;
+  BlotStore store =
+      test::MakeStandardStore(fixture.dataset, fixture.universe, 3);
+  const STRange query = test::CentroidQuery(fixture.universe, 0.3);
+  const std::vector<Record> expected =
+      Sorted(store.Execute(query, Model()).result.records);
+  const std::size_t primary = store.RouteQuery(query, Model());
+  const ScopedInjector injector(
+      ReadErrorPlan(store.replica(primary).config().Name()));
+
+  // A hedge that never fires: the primary faults, the query fails over.
+  obs::TraceSpan trace("store-query");
+  BlotStore::ExecOptions exec;
+  exec.hedge_ms = 1000.0;
+  exec.trace = &trace;
+  const BlotStore::RoutedResult routed = store.Execute(query, Model(), exec);
+  EXPECT_EQ(Sorted(routed.result.records), expected);
+  EXPECT_NE(routed.replica_index, primary);
+  EXPECT_FALSE(routed.hedged);
+  EXPECT_TRUE(routed.degraded);
+  EXPECT_EQ(routed.attempts, 2u);
+  ASSERT_EQ(routed.attempt_log.size(), 2u);
+  EXPECT_EQ(routed.attempt_log[0].replica_index, primary);
+  EXPECT_FALSE(routed.attempt_log[0].success);
+  EXPECT_TRUE(routed.attempt_log[1].success);
+  EXPECT_EQ(routed.profile.attempts, 2u);
+  // The query was routed once: the profile's route stage is exactly the
+  // one route span's time, not a second ranking added on fallback.
+  const obs::TraceSpan* route = trace.FindChild("route");
+  ASSERT_NE(route, nullptr);
+  EXPECT_DOUBLE_EQ(routed.profile.stage(obs::Stage::kRoute),
+                   route->duration_ms());
+}
+
+TEST(HedgingTest, MaxAttemptsOneThrowsLikeUnhedged) {
+  const TaxiFixture fixture;
+  const STRange query = test::CentroidQuery(fixture.universe, 0.3);
+  for (const double hedge_ms : {0.0, 1000.0, 0.001}) {
+    // A fresh store per mode: a failed query leaves its quarantine behind.
+    BlotStore store =
+        test::MakeStandardStore(fixture.dataset, fixture.universe, 3);
+    FailoverPolicy policy;
+    policy.max_attempts = 1;
+    store.SetFailoverPolicy(policy);
+    const std::size_t primary = store.RouteQuery(query, Model());
+    const ScopedInjector injector(
+        ReadErrorPlan(store.replica(primary).config().Name()));
+    BlotStore::ExecOptions exec;
+    exec.hedge_ms = hedge_ms;
+    EXPECT_THROW(store.Execute(query, Model(), exec), QueryFailedError)
+        << "hedge_ms " << hedge_ms;
+  }
+}
+
+// --- Bounded resources: no query creates a thread or parks a future ----
+
+// Runs `queries` hedged queries, half with a threshold that never fires
+// and half with one that always does, after a warm-up; `faults` (if any)
+// is armed once the warm baseline is taken. Every thread seen meanwhile
+// must have existed at the baseline or belong to the store's fixed
+// attempt executor, and no background work may stay parked.
+void ExpectNoThreadsPerQuery(BlotStore& store, std::size_t queries,
+                             ThreadPool* pool,
+                             const std::optional<FaultPlan>& faults) {
+  obs::Gauge& inflight = obs::MetricsRegistry::global().GetGauge(
+      "store.background_inflight");
+  auto run = [&](std::size_t i) {
+    BlotStore::ExecOptions exec;
+    exec.pool = pool;
+    exec.hedge_ms = i % 2 == 0 ? 1000.0 : 0.001;
+    store.Execute(
+        test::CentroidQuery(store.universe(), 0.05 * double(1 + i % 8)),
+        Model(), exec);
+  };
+  for (std::size_t i = 0; i < 64; ++i) run(i);  // warm-up
+  store.WaitForRepairs();
+  const std::set<std::string> baseline = ThreadIds();
+  std::set<std::string> seen = baseline;
+  std::size_t peak = baseline.size();
+  std::optional<ScopedInjector> injector;
+  if (faults) injector.emplace(*faults);
+  for (std::size_t i = 0; i < queries; ++i) {
+    run(i);
+    const std::set<std::string> now = ThreadIds();
+    peak = std::max(peak, now.size());
+    seen.insert(now.begin(), now.end());
+  }
+  EXPECT_LE(peak, baseline.size() + BlotStore::kAttemptThreads);
+  EXPECT_LE(seen.size(), baseline.size() + BlotStore::kAttemptThreads);
+  // Losers and repairs are reaped as they finish; none stays parked.
+  store.WaitForRepairs();
+  EXPECT_EQ(inflight.value(), 0.0);
+}
+
+// A small fleet keeps 10k queries cheap under sanitizers; what is
+// measured is threads and background work, not scan volume.
+TEST(HedgingResourcesTest, HedgedQueriesCreateNoThreads) {
+  const TaxiFixture fixture(/*taxis=*/4, /*samples=*/100);
+  BlotStore store = MakeNearPeerStore(fixture.dataset, fixture.universe);
+  ExpectNoThreadsPerQuery(store, 10'000, nullptr, std::nullopt);
+}
+
+TEST(HedgingResourcesTest, BackgroundRepairsAreReapedUnderReadErrors) {
+  const TaxiFixture fixture(/*taxis=*/4, /*samples=*/100);
+  BlotStore store = MakeNearPeerStore(fixture.dataset, fixture.universe);
+  FailoverPolicy policy;
+  policy.repair = RepairMode::kBackground;
+  store.SetFailoverPolicy(policy);
+  ThreadPool pool(2, "hedging-test");
+  // Each of the routed replica's storage units fails its first read:
+  // queries fail over, and the quarantined units are repaired in the
+  // background while hedged queries keep running.
+  const std::size_t victim =
+      store.RouteQuery(test::CentroidQuery(fixture.universe, 0.5), Model());
+  ExpectNoThreadsPerQuery(
+      store, 2'000, &pool,
+      ReadErrorPlan(store.replica(victim).config().Name(), /*fires=*/1));
 }
 
 }  // namespace

@@ -63,6 +63,30 @@ TEST_F(StorePersistenceTest, SaveLoadRoundTripsReplicasAndDataset) {
             store.Execute(query, model).result.records.size());
 }
 
+TEST_F(StorePersistenceTest, LoadedStoreLearnsLatency) {
+  BlotStore store(dataset_, universe_);
+  store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
+                    EncodingScheme::FromName("ROW-SNAPPY")});
+  store.AddReplica({{.spatial_partitions = 16, .temporal_partitions = 8},
+                    EncodingScheme::FromName("COL-LZMA")});
+  store.Save(dir_);
+
+  BlotStore loaded = BlotStore::Load(dir_);
+  // Every loaded replica is registered with the latency map, so routing
+  // learns from the loaded store's executions like from a built one.
+  ASSERT_EQ(loaded.latency().NumReplicas(), loaded.NumReplicas());
+  const CostModel model{EnvironmentModel::LocalHadoop()};
+  const STRange query = STRange::FromCentroid(
+      {universe_.Width() / 4, universe_.Height() / 4,
+       universe_.Duration() / 4},
+      universe_.Centroid());
+  for (int i = 0; i < 10; ++i) loaded.Execute(query, model);
+  std::uint64_t observations = 0;
+  for (std::size_t r = 0; r < loaded.NumReplicas(); ++r)
+    observations += loaded.latency().Get(r).observations;
+  EXPECT_EQ(observations, 10u);
+}
+
 TEST_F(StorePersistenceTest, PartialReplicasSurviveRoundTrip) {
   BlotStore store(dataset_, universe_);
   store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
