@@ -1,5 +1,5 @@
 // Microbenchmarks for the auxiliary access paths: partition-index lookup
-// (temporal bucketing), trajectory retrieval (object-digest pruning),
+// (bounding-box tree against a linear scan), trajectory retrieval (object-digest pruning),
 // shared-scan batch execution, segment-store persistence, and the fused
 // decode-filter kernels against naive decode-then-filter.
 #include <benchmark/benchmark.h>
@@ -35,7 +35,7 @@ const Replica& SharedReplica() {
   return replica;
 }
 
-// Index with many partitions, to expose the bucketing win.
+// Index with many partitions, to expose the tree's win over a scan.
 const PartitionIndex& BigIndex() {
   static const PartitionIndex index = [] {
     PartitionedData pd = PartitionDataset(
@@ -47,14 +47,18 @@ const PartitionIndex& BigIndex() {
   return index;
 }
 
-void BM_IndexLookupTimeSelective(benchmark::State& state) {
+// 20% of each spatial axis and `time_pct`% of the time axis.
+STRange IndexLookupQuery(std::int64_t time_pct) {
   const STRange universe = bench::PaperUniverse();
   Rng rng(1);
-  const double time_frac = static_cast<double>(state.range(0)) / 100.0;
-  const STRange query = SampleQueryInstance(
+  return SampleQueryInstance(
       {{universe.Width() * 0.2, universe.Height() * 0.2,
-        universe.Duration() * time_frac}},
+        universe.Duration() * static_cast<double>(time_pct) / 100.0}},
       universe, rng);
+}
+
+void BM_IndexLookupTimeSelective(benchmark::State& state) {
+  const STRange query = IndexLookupQuery(state.range(0));
   for (auto _ : state) {
     auto involved = BigIndex().InvolvedPartitions(query);
     benchmark::DoNotOptimize(involved);
@@ -63,6 +67,20 @@ void BM_IndexLookupTimeSelective(benchmark::State& state) {
       static_cast<double>(BigIndex().NumPartitions());
 }
 BENCHMARK(BM_IndexLookupTimeSelective)->Arg(1)->Arg(10)->Arg(100);
+
+// The same lookup as a linear scan testing every range: the baseline the
+// index must stay well ahead of.
+void BM_IndexLookupLinear(benchmark::State& state) {
+  const STRange query = IndexLookupQuery(state.range(0));
+  for (auto _ : state) {
+    std::vector<std::size_t> involved;
+    const std::vector<STRange>& ranges = BigIndex().ranges();
+    for (std::size_t i = 0; i < ranges.size(); ++i)
+      if (ranges[i].Intersects(query)) involved.push_back(i);
+    benchmark::DoNotOptimize(involved);
+  }
+}
+BENCHMARK(BM_IndexLookupLinear)->Arg(1);
 
 void BM_TrajectoryIndexBuild(benchmark::State& state) {
   ThreadPool pool(4);
@@ -335,7 +353,7 @@ void DeriveTracked(const CaptureReporter& reporter, BenchReport& report) {
         "BM_ScanFusedDecodeFilter/0/1");
   ratio("fused_speedup_col_1pct", "BM_ScanNaiveDecodeThenFilter/4/1",
         "BM_ScanFusedDecodeFilter/4/1");
-  ratio("index_time_bucketing_speedup", "BM_IndexLookupTimeSelective/100",
+  ratio("index_lookup_speedup_vs_linear", "BM_IndexLookupLinear/1",
         "BM_IndexLookupTimeSelective/1");
   // Scan-engine ratios: scalar over the best engine / unpruned over
   // pruned, runs of this same binary on the same data.

@@ -1,94 +1,35 @@
 #include "blot/partition_index.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/error.h"
-
 namespace blot {
 
 PartitionIndex::PartitionIndex(std::vector<STRange> ranges)
     : ranges_(std::move(ranges)) {
-  BuildBuckets();
-}
-
-void PartitionIndex::BuildBuckets() {
-  buckets_.clear();
   if (ranges_.empty()) return;
-  double t_max = ranges_[0].t_max();
-  t_min_ = ranges_[0].t_min();
-  for (const STRange& r : ranges_) {
-    t_min_ = std::min(t_min_, r.t_min());
-    t_max = std::max(t_max, r.t_max());
+  leaves_ = std::bit_ceil((ranges_.size() + kLeafSize - 1) / kLeafSize);
+  boxes_.resize(2 * leaves_);
+  for (std::size_t p = 0; p < ranges_.size(); ++p) {
+    STRange& leaf = boxes_[leaves_ + p / kLeafSize];
+    leaf = STRange::Union(leaf, ranges_[p]);
   }
-  // ~sqrt(n) buckets balances bucket scan width against per-bucket size;
-  // capped so degenerate time extents still work.
-  const std::size_t num_buckets = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::sqrt(double(ranges_.size()))), 1, 4096);
-  const double extent = t_max - t_min_;
-  bucket_width_ = extent > 0 ? extent / static_cast<double>(num_buckets) : 0;
-  buckets_.assign(bucket_width_ > 0 ? num_buckets : 1, {});
-  first_bucket_.assign(ranges_.size(), 0);
-  for (std::size_t i = 0; i < ranges_.size(); ++i) {
-    std::size_t lo = 0, hi = 0;
-    if (bucket_width_ > 0) {
-      lo = std::min<std::size_t>(
-          num_buckets - 1,
-          static_cast<std::size_t>((ranges_[i].t_min() - t_min_) /
-                                   bucket_width_));
-      hi = std::min<std::size_t>(
-          num_buckets - 1,
-          static_cast<std::size_t>((ranges_[i].t_max() - t_min_) /
-                                   bucket_width_));
-    }
-    first_bucket_[i] = static_cast<std::uint32_t>(lo);
-    for (std::size_t b = lo; b <= hi; ++b)
-      buckets_[b].push_back(static_cast<std::uint32_t>(i));
-  }
-}
-
-std::pair<std::size_t, std::size_t> PartitionIndex::BucketSpan(
-    const STRange& query) const {
-  if (bucket_width_ <= 0) return {0, 0};
-  const double lo_raw = (query.t_min() - t_min_) / bucket_width_;
-  const double hi_raw = (query.t_max() - t_min_) / bucket_width_;
-  const std::size_t last = buckets_.size() - 1;
-  const std::size_t lo = lo_raw <= 0 ? 0
-                         : std::min<std::size_t>(
-                               last, static_cast<std::size_t>(lo_raw));
-  const std::size_t hi = hi_raw <= 0 ? 0
-                         : std::min<std::size_t>(
-                               last, static_cast<std::size_t>(hi_raw));
-  return {lo, hi};
+  for (std::size_t node = leaves_ - 1; node >= 1; --node)
+    boxes_[node] = STRange::Union(boxes_[2 * node], boxes_[2 * node + 1]);
 }
 
 std::vector<std::size_t> PartitionIndex::InvolvedPartitions(
     const STRange& query) const {
   std::vector<std::size_t> involved;
-  if (ranges_.empty() || query.empty()) return involved;
-  const auto [lo, hi] = BucketSpan(query);
-  // A partition spanning several buckets appears in each of them; it is
-  // tested exactly once, at the first bucket where its span and the
-  // query's bucket span meet: bucket `lo` if it started earlier, its own
-  // first bucket otherwise.
-  for (std::size_t b = lo; b <= hi; ++b) {
-    for (const std::uint32_t i : buckets_[b]) {
-      if (b != lo && first_bucket_[i] != b) continue;
-      if (ranges_[i].Intersects(query)) involved.push_back(i);
-    }
-  }
-  std::sort(involved.begin(), involved.end());
+  ForEachInvolved(query, [&involved](std::size_t p) { involved.push_back(p); });
   return involved;
 }
 
 std::size_t PartitionIndex::CountInvolved(const STRange& query) const {
-  return InvolvedPartitions(query).size();
+  std::size_t count = 0;
+  ForEachInvolved(query, [&count](std::size_t) { ++count; });
+  return count;
 }
 
 STRange PartitionIndex::Cover() const {
-  STRange cover;
-  for (const STRange& range : ranges_) cover = STRange::Union(cover, range);
-  return cover;
+  return boxes_.empty() ? STRange() : boxes_[1];
 }
 
 }  // namespace blot

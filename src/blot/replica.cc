@@ -251,27 +251,20 @@ QueryResult Replica::Execute(const STRange& query,
   obs::QueryProfile* profile = options.profile;
   const bool prune =
       options.zone_map_pruning.value_or(simd::ZoneMapPruningEnabled());
-  const std::vector<std::size_t> index_involved =
-      index_.InvolvedPartitions(query);
   // Partition-level zone skip: the stored zone is the exact bounding
   // cuboid over the partition's records, tighter than the partitioning
   // cell the index tested, so a partition can survive the index and
   // still be provably empty for this query.
   std::vector<std::size_t> involved;
   std::size_t zone_pruned = 0;
-  if (prune) {
-    involved.reserve(index_involved.size());
-    for (const std::size_t p : index_involved) {
-      const StoredPartition& sp = partitions_[p];
-      if (sp.has_zone && !query.Intersects(sp.zone)) {
-        ++zone_pruned;
-        continue;
-      }
-      involved.push_back(p);
+  index_.ForEachInvolved(query, [&](std::size_t p) {
+    const StoredPartition& sp = partitions_[p];
+    if (prune && sp.has_zone && !query.Intersects(sp.zone)) {
+      ++zone_pruned;
+      return;
     }
-  } else {
-    involved = index_involved;
-  }
+    involved.push_back(p);
+  });
   // Excluded partitions (degraded serving around quarantined units) are
   // removed from the scan up front and reported missed.
   std::vector<std::size_t> excluded;

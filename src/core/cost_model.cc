@@ -88,13 +88,18 @@ double CostModel::QueryCostMs(const ReplicaSketch& replica,
 }
 
 double CostModel::QueryCostMs(const ReplicaSketch& replica,
-                              const STRange& query) const {
+                              const STRange& query,
+                              std::size_t* involved) const {
   const ScanCostParams& p = Params(replica.config.encoding);
   double cost = 0.0;
-  for (const std::size_t i : replica.index.InvolvedPartitions(query))
+  std::size_t count = 0;
+  replica.index.ForEachInvolved(query, [&](std::size_t i) {
     cost += static_cast<double>(replica.counts[i]) / 1000.0 *
                 p.scan_ms_per_krecord +
             p.extra_ms;
+    ++count;
+  });
+  if (involved != nullptr) *involved = count;
   return cost;
 }
 

@@ -63,8 +63,12 @@ class CostModel {
   double QueryCostMs(const ReplicaSketch& replica,
                      const GroupedQuery& query) const;
 
-  // Eq. 7 with exact involved-partition counting for a concrete query.
-  double QueryCostMs(const ReplicaSketch& replica, const STRange& query) const;
+  // Eq. 7 with exact involved-partition counting for a concrete query:
+  // one index walk, summing Eq. 6 over the involved partitions in
+  // ascending order. When `involved` is non-null it receives Np(q, r)
+  // from the same walk.
+  double QueryCostMs(const ReplicaSketch& replica, const STRange& query,
+                     std::size_t* involved = nullptr) const;
 
   // Cost(W, R) = sum_i w_i * min_{r in R} Cost(q_i, r) over sketches.
   // Returns +infinity for an empty replica set.

@@ -16,6 +16,11 @@ void HealthMap::ResetReplica(std::size_t replica,
                              std::size_t num_partitions) {
   std::lock_guard lock(mutex_);
   require(replica < states_.size(), "HealthMap::ResetReplica: bad replica");
+  quarantined_.fetch_sub(
+      static_cast<std::size_t>(std::count(states_[replica].begin(),
+                                          states_[replica].end(),
+                                          PartitionHealth::kQuarantined)),
+      std::memory_order_relaxed);
   states_[replica].assign(num_partitions, PartitionHealth::kOk);
   unhealthy_[replica]->store(0, std::memory_order_relaxed);
 }
@@ -41,6 +46,7 @@ bool HealthMap::Quarantine(std::size_t replica, std::size_t partition) {
   if (state == PartitionHealth::kQuarantined) return false;
   if (state == PartitionHealth::kOk)
     unhealthy_[replica]->fetch_add(1, std::memory_order_relaxed);
+  quarantined_.fetch_add(1, std::memory_order_relaxed);
   state = PartitionHealth::kQuarantined;
   return true;
 }
@@ -58,6 +64,7 @@ PartitionHealth HealthMap::MarkSuspect(std::size_t replica,
       break;
     case PartitionHealth::kSuspect:
       state = PartitionHealth::kQuarantined;  // second strike
+      quarantined_.fetch_add(1, std::memory_order_relaxed);
       break;
     case PartitionHealth::kQuarantined:
       break;
@@ -72,6 +79,8 @@ void HealthMap::MarkOk(std::size_t replica, std::size_t partition) {
   PartitionHealth& state = states_[replica][partition];
   if (state != PartitionHealth::kOk)
     unhealthy_[replica]->fetch_sub(1, std::memory_order_relaxed);
+  if (state == PartitionHealth::kQuarantined)
+    quarantined_.fetch_sub(1, std::memory_order_relaxed);
   state = PartitionHealth::kOk;
 }
 
@@ -112,13 +121,7 @@ std::vector<HealthMap::Target> HealthMap::Quarantined() const {
 }
 
 std::size_t HealthMap::QuarantinedCount() const {
-  std::lock_guard lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& replica : states_)
-    count += static_cast<std::size_t>(
-        std::count(replica.begin(), replica.end(),
-                   PartitionHealth::kQuarantined));
-  return count;
+  return quarantined_.load(std::memory_order_relaxed);
 }
 
 HealthMap::Counts HealthMap::CountsFor(std::size_t replica) const {

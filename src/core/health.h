@@ -75,6 +75,8 @@ class HealthMap {
   // Snapshot of every quarantined (replica, partition) pair — the repair
   // queue's view.
   std::vector<Target> Quarantined() const;
+  // Quarantined partitions across all replicas — one relaxed atomic
+  // load, no lock; every query's repair check reads it.
   std::size_t QuarantinedCount() const;
   Counts CountsFor(std::size_t replica) const;
 
@@ -85,6 +87,8 @@ class HealthMap {
   // shared_ptr-free stable storage: grown only under the mutex, read
   // lock-free by AllOk.
   std::vector<std::unique_ptr<std::atomic<std::size_t>>> unhealthy_;
+  // Quarantined partitions of all replicas; written only under the mutex.
+  std::atomic<std::size_t> quarantined_{0};
 };
 
 }  // namespace blot

@@ -311,9 +311,9 @@ BlotStore::Ranking BlotStore::RankCandidates(
     if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
       continue;
     ++out.covering;
-    const double cost = model.QueryCostMs(sketches_[i], query);
-    const RoutingDecision decision{i, cost,
-                                   sketches_[i].index.CountInvolved(query)};
+    std::size_t np = 0;  // the estimate's own walk counts Np
+    const double cost = model.QueryCostMs(sketches_[i], query, &np);
+    const RoutingDecision decision{i, cost, np};
     double adjusted = cost;
     std::vector<std::size_t> lost;
     if (!health_->AllOk(i)) {

@@ -49,21 +49,6 @@ bool STRange::Contains(const STPoint& p) const {
          p.y <= y_max_ && p.t >= t_min_ && p.t <= t_max_;
 }
 
-bool STRange::Contains(const STRange& other) const {
-  if (empty_) return false;
-  if (other.empty_) return true;
-  return other.x_min_ >= x_min_ && other.x_max_ <= x_max_ &&
-         other.y_min_ >= y_min_ && other.y_max_ <= y_max_ &&
-         other.t_min_ >= t_min_ && other.t_max_ <= t_max_;
-}
-
-bool STRange::Intersects(const STRange& other) const {
-  if (empty_ || other.empty_) return false;
-  return x_min_ <= other.x_max_ && other.x_min_ <= x_max_ &&
-         y_min_ <= other.y_max_ && other.y_min_ <= y_max_ &&
-         t_min_ <= other.t_max_ && other.t_min_ <= t_max_;
-}
-
 STRange STRange::Intersection(const STRange& other) const {
   if (!Intersects(other)) return STRange();
   return STRange(std::max(x_min_, other.x_min_), std::min(x_max_, other.x_max_),

@@ -77,11 +77,23 @@ class STRange {
   // Cuboid containment: true iff `other` lies entirely within this range.
   // The empty range contains nothing and is contained by everything
   // non-empty.
-  bool Contains(const STRange& other) const;
+  bool Contains(const STRange& other) const {
+    if (empty_) return false;
+    if (other.empty_) return true;
+    return other.x_min_ >= x_min_ && other.x_max_ <= x_max_ &&
+           other.y_min_ >= y_min_ && other.y_max_ <= y_max_ &&
+           other.t_min_ >= t_min_ && other.t_max_ <= t_max_;
+  }
 
   // Closed-interval intersection test in all three dimensions; this is the
-  // involvement predicate Range(p) ∩ Range(q) != ∅ of Eq. 9.
-  bool Intersects(const STRange& other) const;
+  // involvement predicate Range(p) ∩ Range(q) != ∅ of Eq. 9. Inline: the
+  // partition index and the zone maps call it once per candidate.
+  bool Intersects(const STRange& other) const {
+    if (empty_ || other.empty_) return false;
+    return x_min_ <= other.x_max_ && other.x_min_ <= x_max_ &&
+           y_min_ <= other.y_max_ && other.y_min_ <= y_max_ &&
+           t_min_ <= other.t_max_ && other.t_min_ <= t_max_;
+  }
 
   // The geometric intersection; empty when the ranges do not intersect.
   STRange Intersection(const STRange& other) const;

@@ -17,6 +17,7 @@
 #include "core/store.h"
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace blot {
 namespace {
@@ -76,6 +77,38 @@ TEST(HealthMapTest, QueriesOverPartitionSets) {
   EXPECT_EQ(counts.ok, 3u);
   EXPECT_EQ(counts.suspect, 1u);
   EXPECT_EQ(counts.quarantined, 0u);
+}
+
+TEST(HealthMapTest, QuarantinedCountTracksEveryTransition) {
+  // The lock-free total must equal the per-replica state counts after
+  // any mix of transitions, including escalation and reset.
+  HealthMap health;
+  health.AddReplica(16);
+  health.AddReplica(8);
+  Rng rng(3);
+  for (int step = 0; step < 2000; ++step) {
+    const std::size_t r = rng.NextUint64(2);
+    const std::size_t p = rng.NextUint64(r == 0 ? 16 : 8);
+    switch (rng.NextUint64(7)) {
+      case 0:
+      case 1:
+        health.Quarantine(r, p);
+        break;
+      case 2:
+      case 3:
+        health.MarkSuspect(r, p);
+        break;
+      case 4:
+      case 5:
+        health.MarkOk(r, p);
+        break;
+      default:
+        if (step % 50 == 0) health.ResetReplica(r, r == 0 ? 16 : 8);
+    }
+    ASSERT_EQ(health.QuarantinedCount(), health.CountsFor(0).quarantined +
+                                             health.CountsFor(1).quarantined)
+        << "step " << step;
+  }
 }
 
 TEST(HealthMapTest, ResetReplicaReturnsEverythingToOk) {
@@ -186,6 +219,32 @@ TEST_F(FailoverTest, SyncRepairPolicySelfHealsWithinExecute) {
   EXPECT_EQ(Sorted(routed.result.records),
             Sorted(dataset.FilterByRange(query)));
   // The same Execute call already repaired what it quarantined.
+  EXPECT_EQ(store.health().QuarantinedCount(), 0u);
+  EXPECT_TRUE(store.health().AllOk(victim));
+}
+
+TEST_F(FailoverTest, LaterHealthyQueryRepairsEarlierQuarantine) {
+  // The per-query repair check runs on every Execute, not only on the
+  // query that hit the fault: a quarantine left by an earlier query is
+  // repaired by the next Execute, here of a different, disjoint query.
+  BlotStore store = MakeStore();
+  FailoverPolicy policy;
+  policy.repair = RepairMode::kNone;
+  store.SetFailoverPolicy(policy);
+  const STRange query = CentroidQuery(0.25);
+  const std::size_t victim = store.RouteQuery(query, model);
+  const std::vector<std::size_t> corrupted =
+      CorruptInvolved(store, victim, query);
+  store.Execute(query, model);
+  ASSERT_EQ(store.health().QuarantinedCount(), corrupted.size());
+
+  policy.repair = RepairMode::kSync;
+  store.SetFailoverPolicy(policy);
+  const STRange elsewhere = STRange::FromBounds(
+      universe.x_min(), universe.x_min(), universe.y_min(),
+      universe.y_min(), universe.t_min(), universe.t_min());
+  ASSERT_FALSE(query.Intersects(elsewhere));
+  store.Execute(elsewhere, model);
   EXPECT_EQ(store.health().QuarantinedCount(), 0u);
   EXPECT_TRUE(store.health().AllOk(victim));
 }

@@ -1,0 +1,150 @@
+// Routing parity: the store's routing estimates are bit-identical to
+// Eq. 7 evaluated the long way — the per-partition Eq. 6 terms
+// counts[i] / 1000 * scan_ms_per_krecord + extra_ms summed in ascending
+// partition order over a brute-force involved list — and the involved
+// count is that list's size. Any change to how routing walks the
+// partition index must keep both, so routing decisions never move.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/fixtures.h"
+#include "core/cost_model.h"
+#include "core/partial.h"
+#include "core/store.h"
+#include "core/workload.h"
+#include "simenv/replica_sketch.h"
+#include "util/rng.h"
+
+namespace blot {
+namespace {
+
+struct Estimate {
+  double cost_ms = 0.0;
+  std::size_t partitions = 0;
+};
+
+// Eq. 7 from the brute-force involved list, summed in ascending order.
+Estimate ReferenceEstimate(const ReplicaSketch& sketch,
+                           const ScanCostParams& params,
+                           const STRange& query) {
+  Estimate out;
+  for (std::size_t i = 0; i < sketch.index.NumPartitions(); ++i) {
+    if (!sketch.index.Range(i).Intersects(query)) continue;
+    out.cost_ms += static_cast<double>(sketch.counts[i]) / 1000.0 *
+                       params.scan_ms_per_krecord +
+                   params.extra_ms;
+    ++out.partitions;
+  }
+  return out;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+struct RoutingParityTest : ::testing::Test, test::TaxiFixture {
+  RoutingParityTest() : test::TaxiFixture(15, 400) {}
+
+  CostModel model{EnvironmentModel::LocalHadoop()};
+};
+
+TEST_F(RoutingParityTest, EstimatesAndDecisionsMatchReferenceFormula) {
+  BlotStore store(Dataset(dataset), universe);
+  store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
+                    EncodingScheme::FromName("ROW-SNAPPY")});
+  // A uniform grid on clustered data leaves cells without records, so
+  // Np must count partitions, not records.
+  store.AddReplica({{.spatial_partitions = 64,
+                     .temporal_partitions = 16,
+                     .method = SpatialMethod::kGrid},
+                    EncodingScheme::FromName("COL-GZIP")});
+  const STRange hotspot = DensestSpatialBox(dataset, universe, 0.5);
+  const std::size_t partial = store.AddPartialReplica(
+      {{.spatial_partitions = 16, .temporal_partitions = 8},
+       EncodingScheme::FromName("ROW-GZIP")},
+      hotspot);
+  ASSERT_EQ(store.NumReplicas(), 3u);
+  ASSERT_FALSE(store.IsFullReplica(partial));
+
+  std::vector<ReplicaSketch> sketches;
+  for (std::size_t r = 0; r < store.NumReplicas(); ++r)
+    sketches.push_back(ReplicaSketch::FromReplica(store.replica(r)));
+  ASSERT_NE(std::count(sketches[1].counts.begin(), sketches[1].counts.end(),
+                       std::uint64_t{0}),
+            0);
+
+  Rng rng(2024);
+  std::size_t partial_candidate = 0;
+  std::size_t partial_wins = 0;
+  for (int q = 0; q < 600; ++q) {
+    // Alternate universe-wide shapes with shapes inside the partial
+    // replica's coverage, so every decision has 2 or 3 candidates.
+    const STRange& space = q % 2 == 0 ? universe : hotspot;
+    const GroupedQuery shape{{space.Width() * rng.NextDouble(0.01, 1.0),
+                              space.Height() * rng.NextDouble(0.01, 1.0),
+                              space.Duration() * rng.NextDouble(0.01, 1.0)}};
+    const STRange query = SampleQueryInstance(shape, space, rng);
+    SCOPED_TRACE("query " + std::to_string(q) + " " + query.ToString());
+
+    std::size_t best = store.NumReplicas();
+    Estimate best_estimate;
+    for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
+      const ReplicaSketch& sketch = sketches[r];
+      const Estimate expected = ReferenceEstimate(
+          sketch, model.Params(sketch.config.encoding), query);
+      ASSERT_EQ(sketch.index.InvolvedPartitions(query).size(),
+                expected.partitions);
+      std::size_t np = 0;
+      const double cost = model.QueryCostMs(sketch, query, &np);
+      ASSERT_EQ(Bits(cost), Bits(expected.cost_ms)) << "replica " << r;
+      ASSERT_EQ(np, expected.partitions) << "replica " << r;
+      ASSERT_EQ(Bits(model.QueryCostMs(sketch, query)), Bits(cost));
+
+      if (!store.IsFullReplica(r) &&
+          !store.replica(r).universe().Contains(query))
+        continue;
+      if (r == partial) ++partial_candidate;
+      // Strictly cheaper wins; ties go to the lower index.
+      if (best == store.NumReplicas() ||
+          expected.cost_ms < best_estimate.cost_ms) {
+        best = r;
+        best_estimate = expected;
+      }
+    }
+
+    const BlotStore::RoutingDecision decision =
+        store.RouteQueryDetailed(query, model);
+    ASSERT_EQ(decision.replica_index, best);
+    ASSERT_EQ(Bits(decision.estimated_cost_ms), Bits(best_estimate.cost_ms));
+    ASSERT_EQ(decision.predicted_partitions, best_estimate.partitions);
+    if (best == partial) ++partial_wins;
+  }
+  // The partial replica was in the running, and won some decisions.
+  EXPECT_GT(partial_candidate, 0u);
+  EXPECT_GT(partial_wins, 0u);
+}
+
+TEST_F(RoutingParityTest, ExecutedQueriesReportReferenceEstimate) {
+  BlotStore store = test::MakeStandardStore(dataset, universe, 3);
+  Rng rng(7);
+  for (int q = 0; q < 60; ++q) {
+    const GroupedQuery shape{{universe.Width() * rng.NextDouble(0.01, 0.6),
+                              universe.Height() * rng.NextDouble(0.01, 0.6),
+                              universe.Duration() * rng.NextDouble(0.01, 0.6)}};
+    const STRange query = SampleQueryInstance(shape, universe, rng);
+    const BlotStore::RoutedResult routed = store.Execute(query, model);
+    const ReplicaSketch sketch =
+        ReplicaSketch::FromReplica(store.replica(routed.replica_index));
+    const Estimate expected = ReferenceEstimate(
+        sketch, model.Params(sketch.config.encoding), query);
+    ASSERT_EQ(Bits(routed.estimated_cost_ms), Bits(expected.cost_ms))
+        << "query " << q;
+    ASSERT_EQ(routed.predicted_partitions, expected.partitions)
+        << "query " << q;
+  }
+}
+
+}  // namespace
+}  // namespace blot
