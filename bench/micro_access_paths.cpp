@@ -107,9 +107,10 @@ void BM_TrajectoryQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_TrajectoryQuery);
 
-void BM_BatchVsSequentialGrid(benchmark::State& state) {
+// A `cells` x `cells` grid of whole-month cells over the universe: the
+// paper's grid statistics (Section III-C1).
+std::vector<STRange> WholeMonthGrid(int cells) {
   const STRange universe = bench::PaperUniverse();
-  const int cells = static_cast<int>(state.range(0));
   std::vector<STRange> queries;
   for (int gx = 0; gx < cells; ++gx)
     for (int gy = 0; gy < cells; ++gy)
@@ -119,6 +120,12 @@ void BM_BatchVsSequentialGrid(benchmark::State& state) {
           universe.y_min() + universe.Height() * gy / cells,
           universe.y_min() + universe.Height() * (gy + 1) / cells,
           universe.t_min(), universe.t_max()));
+  return queries;
+}
+
+void BM_BatchVsSequentialGrid(benchmark::State& state) {
+  const std::vector<STRange> queries =
+      WholeMonthGrid(static_cast<int>(state.range(0)));
   double sharing = 0;
   for (auto _ : state) {
     const BatchResult batch = ExecuteBatch(SharedReplica(), queries);
@@ -129,6 +136,19 @@ void BM_BatchVsSequentialGrid(benchmark::State& state) {
   state.counters["sharing_factor"] = sharing;
 }
 BENCHMARK(BM_BatchVsSequentialGrid)->Arg(4)->Arg(8);
+
+// The baseline the shared scan must beat: Execute once per grid cell.
+void BM_SequentialGrid(benchmark::State& state) {
+  const std::vector<STRange> queries =
+      WholeMonthGrid(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (const STRange& query : queries) {
+      const QueryResult result = SharedReplica().Execute(query);
+      benchmark::DoNotOptimize(result);
+    }
+  }
+}
+BENCHMARK(BM_SequentialGrid)->Arg(8);
 
 void BM_SegmentStoreSave(benchmark::State& state) {
   const auto dir =
@@ -305,8 +325,7 @@ void BM_ScanBlockedZoneMap(benchmark::State& state) {
   ScanCounters counters;
   for (auto _ : state) {
     std::vector<Record> matches =
-        DecodePartitionInRange(data, scheme, query, nullptr,
-                               LayoutFormat::kBlocked, prune, &counters);
+        DecodePartitionInRange(data, scheme, query, nullptr, prune, &counters);
     benchmark::DoNotOptimize(matches);
   }
   state.SetLabel(prune ? "pruned" : "unpruned");
@@ -355,6 +374,8 @@ void DeriveTracked(const CaptureReporter& reporter, BenchReport& report) {
         "BM_ScanFusedDecodeFilter/4/1");
   ratio("index_lookup_speedup_vs_linear", "BM_IndexLookupLinear/1",
         "BM_IndexLookupTimeSelective/1");
+  ratio("batch_vs_sequential_speedup", "BM_SequentialGrid/8",
+        "BM_BatchVsSequentialGrid/8");
   // Scan-engine ratios: scalar over the best engine / unpruned over
   // pruned, runs of this same binary on the same data.
   ratio("simd_speedup_delta_decode", "BM_DecodeDeltaKernel/0/0",

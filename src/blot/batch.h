@@ -6,7 +6,8 @@
 // cell", Section III-C1) — and neighbouring queries involve overlapping
 // partitions. Executing the batch with one decode per involved partition
 // divides the dominant cost (decompression) by the overlap factor, the
-// classic shared-scan optimization.
+// classic shared-scan optimization. Each shared read still prunes blocks
+// by their zone maps against the union of the interested queries.
 #ifndef BLOT_BLOT_BATCH_H_
 #define BLOT_BLOT_BATCH_H_
 
@@ -28,9 +29,13 @@ struct BatchResult {
   std::size_t naive_partition_scans = 0;
 };
 
-// Answers every query in `queries`, decoding each involved partition
-// exactly once (in parallel when `pool` is non-null). Result order
-// follows `queries`.
+// Answers every query in `queries`, reading each involved partition
+// exactly once through Replica::ScanPartition over the union of the
+// queries interested in it (in parallel when `pool` is non-null), then
+// splitting the matches per query. per_query[i] equals
+// replica.Execute(queries[i]).records, order included. Read faults are
+// collected across partitions and thrown as one PartitionFaultError
+// naming every failing partition, as Execute does.
 BatchResult ExecuteBatch(const Replica& replica,
                          std::span<const STRange> queries,
                          ThreadPool* pool = nullptr);

@@ -29,23 +29,21 @@ std::vector<EncodingScheme> AllEncodingSchemes() {
 }
 
 Bytes EncodePartition(std::span<const Record> records,
-                      const EncodingScheme& scheme, LayoutFormat format) {
-  const Bytes serialized = SerializeRecords(records, scheme.layout, format);
+                      const EncodingScheme& scheme) {
+  const Bytes serialized = SerializeRecords(records, scheme.layout);
   return GetCodec(scheme.codec).Compress(serialized);
 }
 
 std::vector<Record> DecodePartition(BytesView data,
-                                    const EncodingScheme& scheme,
-                                    LayoutFormat format) {
+                                    const EncodingScheme& scheme) {
   const Bytes serialized = GetCodec(scheme.codec).Decompress(data);
-  return DeserializeRecords(serialized, scheme.layout, format);
+  return DeserializeRecords(serialized, scheme.layout);
 }
 
 std::vector<Record> DecodePartitionInRange(BytesView data,
                                            const EncodingScheme& scheme,
                                            const STRange& range,
                                            std::uint64_t* total_records,
-                                           LayoutFormat format,
                                            bool prune_blocks,
                                            ScanCounters* counters,
                                            const CancelToken* cancel) {
@@ -56,8 +54,8 @@ std::vector<Record> DecodePartitionInRange(BytesView data,
   }
   const Bytes serialized = GetCodec(scheme.codec).Decompress(data);
   return DeserializeRecordsInRange(serialized, scheme.layout, range,
-                                   total_records, format, prune_blocks,
-                                   counters, cancel);
+                                   total_records, prune_blocks, counters,
+                                   cancel);
 }
 
 double MeasureCompressionRatio(std::span<const Record> sample,

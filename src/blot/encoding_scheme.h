@@ -35,31 +35,26 @@ struct EncodingScheme {
 // performance in terms of both compression ratio and scan speed").
 std::vector<EncodingScheme> AllEncodingSchemes();
 
-// Encodes records: layout serialization (under `format`) followed by
-// block compression.
+// Encodes records: layout serialization followed by block compression.
 Bytes EncodePartition(std::span<const Record> records,
-                      const EncodingScheme& scheme,
-                      LayoutFormat format = LayoutFormat::kBlocked);
+                      const EncodingScheme& scheme);
 
-// Inverse of EncodePartition. `format` must match what the partition was
-// encoded with (segment manifests record it per partition).
-std::vector<Record> DecodePartition(
-    BytesView data, const EncodingScheme& scheme,
-    LayoutFormat format = LayoutFormat::kBlocked);
+// Inverse of EncodePartition.
+std::vector<Record> DecodePartition(BytesView data,
+                                    const EncodingScheme& scheme);
 
 // Fused decode-filter: decompresses, then deserializes only the records
 // inside `range` (layout.h's DeserializeRecordsInRange). Returns exactly
 // the records DecodePartition + filter would, in the same order;
 // `total_records` receives the partition's record count for scan
-// accounting. Under kBlocked, `prune_blocks` controls zone-map block
-// skipping and `counters` receives block-level scan accounting.
+// accounting. `prune_blocks` controls zone-map block skipping and
+// `counters` receives block-level scan accounting.
 // `cancel` (requires `counters`) stops the scan at the next block
 // boundary, reporting `counters->interrupted`; an already-cancelled
 // token skips even the decompression.
 std::vector<Record> DecodePartitionInRange(
     BytesView data, const EncodingScheme& scheme, const STRange& range,
-    std::uint64_t* total_records = nullptr,
-    LayoutFormat format = LayoutFormat::kBlocked, bool prune_blocks = true,
+    std::uint64_t* total_records = nullptr, bool prune_blocks = true,
     ScanCounters* counters = nullptr, const CancelToken* cancel = nullptr);
 
 // Compressed bytes / uncompressed-row-layout bytes, measured on a sample

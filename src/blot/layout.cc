@@ -29,22 +29,11 @@ Layout LayoutFromName(std::string_view name) {
                         std::string(name));
 }
 
-std::string_view LayoutFormatName(LayoutFormat format) {
-  switch (format) {
-    case LayoutFormat::kLegacy:
-      return "LEGACY";
-    case LayoutFormat::kBlocked:
-      return "BLOCKED";
-  }
-  throw InvalidArgument("LayoutFormatName: unknown format");
-}
-
 namespace {
 
 // ---------------------------------------------------------------------
-// Shared chunk coders: one contiguous run of records, no count prefix.
-// The legacy format is one chunk per partition; the blocked format is
-// one chunk per block with every transform restarted.
+// Chunk coders: one contiguous run of records, no count prefix. Each
+// block is one chunk, with every transform restarted.
 // ---------------------------------------------------------------------
 
 void EncodeRowChunk(ByteWriter& w, std::span<const Record> records) {
@@ -171,53 +160,8 @@ std::vector<Record> ScanRowsInRange(ByteReader& in, std::size_t count,
   return matches;
 }
 
-// Legacy columnar predicate pushdown: decode the core columns, compute
-// the match set, and decode + materialize the attribute columns only when
-// at least one row matched.
-std::vector<Record> ScanColumnsInRange(ByteReader& in, std::size_t count,
-                                       const STRange& range) {
-  const auto oids = DecodeDeltaColumn(in, count);
-  const auto times = DecodeDeltaColumn(in, count);
-  const auto xs = DecodeAdaptiveDoubleColumn(in, count);
-  const auto ys = DecodeAdaptiveDoubleColumn(in, count);
-
-  std::vector<std::uint32_t> match_rows;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (range.Contains({xs[i], ys[i], static_cast<double>(times[i])}))
-      match_rows.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (match_rows.empty()) return {};
-
-  const auto speeds = DecodeF32Column(in, count);
-  const auto headings = DecodeDeltaColumn(in, count);
-  const auto statuses = DecodeRleColumn(in, count);
-  const auto passengers = DecodeRleColumn(in, count);
-  const auto fares = DecodeDeltaColumn(in, count);
-  std::vector<Record> matches(match_rows.size());
-  for (std::size_t j = 0; j < match_rows.size(); ++j) {
-    const std::size_t i = match_rows[j];
-    validate(oids[i] >= 0 && oids[i] <= 0xFFFFFFFFll,
-             "ScanColumnsInRange: oid out of range");
-    validate(headings[i] >= 0 && headings[i] <= 0xFFFFll,
-             "ScanColumnsInRange: heading out of range");
-    validate(fares[i] >= 0 && fares[i] <= 0xFFFFFFFFll,
-             "ScanColumnsInRange: fare out of range");
-    Record& r = matches[j];
-    r.oid = static_cast<std::uint32_t>(oids[i]);
-    r.time = times[i];
-    r.x = xs[i];
-    r.y = ys[i];
-    r.speed = speeds[i];
-    r.heading = static_cast<std::uint16_t>(headings[i]);
-    r.status = statuses[i];
-    r.passengers = passengers[i];
-    r.fare_cents = static_cast<std::uint32_t>(fares[i]);
-  }
-  return matches;
-}
-
 // ---------------------------------------------------------------------
-// Blocked format.
+// Block stream.
 // ---------------------------------------------------------------------
 
 constexpr std::uint8_t kBlockHasZone = 1;
@@ -250,36 +194,6 @@ BlockZone ComputeBlockZone(std::span<const Record> records) {
     z.y_max = std::max(z.y_max, r.y);
   }
   return z;
-}
-
-Bytes SerializeBlocked(std::span<const Record> records, Layout layout) {
-  ByteWriter w;
-  w.PutVarint(records.size());
-  w.PutVarint(kScanBlockRecords);
-  for (std::size_t off = 0; off < records.size();
-       off += kScanBlockRecords) {
-    const std::size_t n =
-        std::min(kScanBlockRecords, records.size() - off);
-    const std::span<const Record> block = records.subspan(off, n);
-    const BlockZone zone = ComputeBlockZone(block);
-    ByteWriter body;
-    if (layout == Layout::kRow) {
-      EncodeRowChunk(body, block);
-    } else {
-      EncodeColumnChunk(body, block);
-    }
-    w.PutVarint(n);
-    w.PutU8(zone.has_zone ? kBlockHasZone : 0);
-    w.PutI64(zone.t_min);
-    w.PutI64(zone.t_max);
-    w.PutF64(zone.x_min);
-    w.PutF64(zone.x_max);
-    w.PutF64(zone.y_min);
-    w.PutF64(zone.y_max);
-    w.PutVarint(body.size());
-    w.PutBytes(body.buffer());
-  }
-  return w.Take();
 }
 
 // Walks the block stream: parses + validates every header, prunes
@@ -440,7 +354,7 @@ void ScanColumnBlock(BytesView body, std::size_t n, const STRange& range,
   pos += simd::DecodeRleU8(engine, base + pos, end, s.passengers.data(), n);
   pos +=
       simd::DecodeZigZagDeltaI64(engine, base + pos, end, s.fares.data(), n);
-  validate(pos == body.size(), "ScanColumnsInRange: trailing block bytes");
+  validate(pos == body.size(), "ScanColumnBlock: trailing block bytes");
 
   out.reserve(out.size() + matched);
   for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
@@ -450,11 +364,11 @@ void ScanColumnBlock(BytesView body, std::size_t n, const STRange& range,
           w * 64 + static_cast<std::size_t>(std::countr_zero(word));
       word &= word - 1;
       validate(s.oids[i] >= 0 && s.oids[i] <= 0xFFFFFFFFll,
-               "ScanColumnsInRange: oid out of range");
+               "ScanColumnBlock: oid out of range");
       validate(s.headings[i] >= 0 && s.headings[i] <= 0xFFFFll,
-               "ScanColumnsInRange: heading out of range");
+               "ScanColumnBlock: heading out of range");
       validate(s.fares[i] >= 0 && s.fares[i] <= 0xFFFFFFFFll,
-               "ScanColumnsInRange: fare out of range");
+               "ScanColumnBlock: fare out of range");
       Record r;
       r.oid = static_cast<std::uint32_t>(s.oids[i]);
       r.time = s.times[i];
@@ -472,65 +386,60 @@ void ScanColumnBlock(BytesView body, std::size_t n, const STRange& range,
 
 }  // namespace
 
-Bytes SerializeRecords(std::span<const Record> records, Layout layout,
-                       LayoutFormat format) {
-  if (format == LayoutFormat::kBlocked)
-    return SerializeBlocked(records, layout);
+Bytes SerializeRecords(std::span<const Record> records, Layout layout) {
   ByteWriter w;
   w.PutVarint(records.size());
-  switch (layout) {
-    case Layout::kRow:
-      EncodeRowChunk(w, records);
-      break;
-    case Layout::kColumn:
-      EncodeColumnChunk(w, records);
-      break;
-    default:
-      throw InvalidArgument("SerializeRecords: unknown layout");
+  w.PutVarint(kScanBlockRecords);
+  for (std::size_t off = 0; off < records.size();
+       off += kScanBlockRecords) {
+    const std::size_t n =
+        std::min(kScanBlockRecords, records.size() - off);
+    const std::span<const Record> block = records.subspan(off, n);
+    const BlockZone zone = ComputeBlockZone(block);
+    ByteWriter body;
+    if (layout == Layout::kRow) {
+      EncodeRowChunk(body, block);
+    } else {
+      EncodeColumnChunk(body, block);
+    }
+    w.PutVarint(n);
+    w.PutU8(zone.has_zone ? kBlockHasZone : 0);
+    w.PutI64(zone.t_min);
+    w.PutI64(zone.t_max);
+    w.PutF64(zone.x_min);
+    w.PutF64(zone.x_max);
+    w.PutF64(zone.y_min);
+    w.PutF64(zone.y_max);
+    w.PutVarint(body.size());
+    w.PutBytes(body.buffer());
   }
   return w.Take();
 }
 
-std::vector<Record> DeserializeRecords(BytesView data, Layout layout,
-                                       LayoutFormat format) {
+std::vector<Record> DeserializeRecords(BytesView data, Layout layout) {
   ByteReader in(data);
   const std::uint64_t count64 = in.GetVarint();
   validate(count64 <= data.size(),
            "DeserializeRecords: implausible record count");
-  const std::size_t count = static_cast<std::size_t>(count64);
   std::vector<Record> records;
-  if (format == LayoutFormat::kBlocked) {
-    records.reserve(count);
-    WalkBlocks(in, count64, nullptr, nullptr, nullptr,
-               [&](BytesView body, std::size_t n) {
-                 ByteReader block(body);
-                 std::vector<Record> chunk =
-                     layout == Layout::kRow ? DeserializeRows(block, n)
-                                            : DeserializeColumns(block, n);
-                 validate(block.AtEnd(),
-                          "DeserializeRecords: trailing block bytes");
-                 records.insert(records.end(), chunk.begin(), chunk.end());
-               });
-    return records;
-  }
-  switch (layout) {
-    case Layout::kRow:
-      records = DeserializeRows(in, count);
-      break;
-    case Layout::kColumn:
-      records = DeserializeColumns(in, count);
-      break;
-    default:
-      throw InvalidArgument("DeserializeRecords: unknown layout");
-  }
-  validate(in.AtEnd(), "DeserializeRecords: trailing bytes");
+  records.reserve(static_cast<std::size_t>(count64));
+  WalkBlocks(in, count64, nullptr, nullptr, nullptr,
+             [&](BytesView body, std::size_t n) {
+               ByteReader block(body);
+               std::vector<Record> chunk = layout == Layout::kRow
+                                               ? DeserializeRows(block, n)
+                                               : DeserializeColumns(block, n);
+               validate(block.AtEnd(),
+                        "DeserializeRecords: trailing block bytes");
+               records.insert(records.end(), chunk.begin(), chunk.end());
+             });
   return records;
 }
 
 std::vector<Record> DeserializeRecordsInRange(
     BytesView data, Layout layout, const STRange& range,
-    std::uint64_t* total_records, LayoutFormat format, bool prune_blocks,
-    ScanCounters* counters, const CancelToken* cancel) {
+    std::uint64_t* total_records, bool prune_blocks, ScanCounters* counters,
+    const CancelToken* cancel) {
   // Cancellation needs `counters` to report the interruption; without it
   // a partial prefix would masquerade as a full answer.
   if (counters == nullptr) cancel = nullptr;
@@ -539,40 +448,24 @@ std::vector<Record> DeserializeRecordsInRange(
   validate(count64 <= data.size(),
            "DeserializeRecordsInRange: implausible record count");
   if (total_records != nullptr) *total_records = count64;
-  const std::size_t count = static_cast<std::size_t>(count64);
-  if (format == LayoutFormat::kBlocked) {
+  const STRange* prune = prune_blocks ? &range : nullptr;
+  std::vector<Record> matches;
+  if (layout == Layout::kRow) {
+    WalkBlocks(in, count64, prune, counters, cancel,
+               [&](BytesView body, std::size_t n) {
+                 ByteReader block(body);
+                 std::vector<Record> chunk = ScanRowsInRange(block, n, range);
+                 matches.insert(matches.end(), chunk.begin(), chunk.end());
+               });
+  } else {
     const simd::ScanEngine engine = simd::ActiveScanEngine();
-    std::vector<Record> matches;
-    if (layout == Layout::kRow) {
-      WalkBlocks(in, count64, prune_blocks ? &range : nullptr, counters,
-                 cancel, [&](BytesView body, std::size_t n) {
-                   ByteReader block(body);
-                   std::vector<Record> chunk =
-                       ScanRowsInRange(block, n, range);
-                   matches.insert(matches.end(), chunk.begin(), chunk.end());
-                 });
-    } else {
-      ColumnScratch scratch;
-      WalkBlocks(in, count64, prune_blocks ? &range : nullptr, counters,
-                 cancel, [&](BytesView body, std::size_t n) {
-                   ScanColumnBlock(body, n, range, engine, scratch, matches);
-                 });
-    }
-    return matches;
+    ColumnScratch scratch;
+    WalkBlocks(in, count64, prune, counters, cancel,
+               [&](BytesView body, std::size_t n) {
+                 ScanColumnBlock(body, n, range, engine, scratch, matches);
+               });
   }
-  // kLegacy has no block boundaries: the only cancellation point is the
-  // scan's entry.
-  if (cancel != nullptr && cancel->ShouldStop()) {
-    counters->interrupted = true;
-    return {};
-  }
-  switch (layout) {
-    case Layout::kRow:
-      return ScanRowsInRange(in, count, range);
-    case Layout::kColumn:
-      return ScanColumnsInRange(in, count, range);
-  }
-  throw InvalidArgument("DeserializeRecordsInRange: unknown layout");
+  return matches;
 }
 
 }  // namespace blot

@@ -8,19 +8,14 @@
 //             delta+varint integers, XOR-coded doubles, RLE flags.
 //
 // Both layouts are lossless; a general-purpose codec is applied on top by
-// the encoding scheme. Two wire formats exist:
-//
-//   kLegacy  — one monolithic run per partition (varint record count, then
-//              the whole payload). Retained so segments written before
-//              zone maps existed still load and scan.
-//   kBlocked — the partition is cut into blocks of kScanBlockRecords
-//              records; each block carries a zone-map header (min/max
-//              TIME and LOC over its records) plus its payload byte
-//              length, and every per-column transform restarts at the
-//              block boundary. Range scans consult the zone map and skip
-//              non-intersecting blocks without decoding them, and the
-//              surviving blocks decode through the vectorized kernels in
-//              codec/simd/ (engine picked at startup by CPUID).
+// the encoding scheme. The wire format is blocked: the partition is cut
+// into blocks of kScanBlockRecords records; each block carries a
+// zone-map header (min/max TIME and LOC over its records) plus its
+// payload byte length, and every per-column transform restarts at the
+// block boundary. Range scans consult the zone map and skip
+// non-intersecting blocks without decoding them, and the surviving
+// blocks decode through the vectorized kernels in codec/simd/ (engine
+// picked at startup by CPUID).
 #ifndef BLOT_BLOT_LAYOUT_H_
 #define BLOT_BLOT_LAYOUT_H_
 
@@ -39,18 +34,12 @@ enum class Layout { kRow, kColumn };
 std::string_view LayoutName(Layout layout);
 Layout LayoutFromName(std::string_view name);
 
-// Wire format of a serialized partition. Numeric values are persisted in
-// segment manifests; never renumber.
-enum class LayoutFormat : std::uint8_t { kLegacy = 1, kBlocked = 2 };
-
-std::string_view LayoutFormatName(LayoutFormat format);
-
-// Records per block under kBlocked. Chosen so a block's columns stay
+// Records per block. Chosen so a block's columns stay
 // cache-resident while the per-block zone-map header (~55 bytes) stays
 // under 0.3% of a raw row block.
 inline constexpr std::size_t kScanBlockRecords = 512;
 
-// Scan-internal accounting for the blocked format, surfaced through the
+// Scan-internal accounting of the block walk, surfaced through the
 // query profile (zone_map_prune / simd sub-stages) and scan.* metrics.
 // Timings are captured only when `timed` is set — the two clock reads
 // per block are not free — counters always.
@@ -65,14 +54,11 @@ struct ScanCounters {
   bool interrupted = false;
 };
 
-// Serializes records under the given layout and wire format.
-Bytes SerializeRecords(std::span<const Record> records, Layout layout,
-                       LayoutFormat format = LayoutFormat::kBlocked);
+// Serializes records under the given layout.
+Bytes SerializeRecords(std::span<const Record> records, Layout layout);
 
 // Inverse of SerializeRecords; throws CorruptData on malformed input.
-std::vector<Record> DeserializeRecords(
-    BytesView data, Layout layout,
-    LayoutFormat format = LayoutFormat::kBlocked);
+std::vector<Record> DeserializeRecords(BytesView data, Layout layout);
 
 // Fused decode-filter kernel: deserializes `data` but materializes only
 // the records whose Position() lies inside `range` — exactly the records
@@ -80,7 +66,7 @@ std::vector<Record> DeserializeRecords(
 //
 //   kColumn — decodes the oid/time/x/y columns first, computes the match
 //             set against `range` (a selection bitmap via the vectorized
-//             filter under kBlocked), and only then materializes matching
+//             filter), and only then materializes matching
 //             rows; when nothing matches, the five attribute columns are
 //             never decoded at all (predicate pushdown).
 //   kRow    — streams over the fixed-width rows, parsing the core
@@ -88,25 +74,24 @@ std::vector<Record> DeserializeRecords(
 //             that fall outside `range`; no intermediate full-partition
 //             vector is built.
 //
-// Under kBlocked with `prune_blocks`, whole blocks whose zone map does
-// not intersect `range` are skipped without touching their payload.
+// With `prune_blocks`, whole blocks whose zone map does not intersect
+// `range` are skipped without touching their payload.
 // `total_records` (optional) receives the partition's record count from
 // the serialized header, for scan accounting and count validation;
 // `counters` (optional) receives block-level prune/decode accounting.
 // The fused path validates the framing it actually touches; byte-level
 // integrity is the caller's checksum's job.
 //
-// `cancel` (optional) is polled at every block boundary (once at entry
-// for kLegacy, which has no blocks): when it fires, the walk stops,
-// `counters->interrupted` is set, and the records decoded so far are
-// returned — callers must treat an interrupted partition as not served.
+// `cancel` (optional) is polled at every block boundary: when it fires,
+// the walk stops, `counters->interrupted` is set, and the records decoded
+// so far are returned — callers must treat an interrupted partition as
+// not served.
 // Cancellation requires `counters`; without a place to report the
 // truncation, a partial prefix would be indistinguishable from a full
 // answer, so `cancel` is ignored when `counters` is null.
 std::vector<Record> DeserializeRecordsInRange(
     BytesView data, Layout layout, const STRange& range,
-    std::uint64_t* total_records = nullptr,
-    LayoutFormat format = LayoutFormat::kBlocked, bool prune_blocks = true,
+    std::uint64_t* total_records = nullptr, bool prune_blocks = true,
     ScanCounters* counters = nullptr, const CancelToken* cancel = nullptr);
 
 }  // namespace blot

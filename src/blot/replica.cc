@@ -45,7 +45,6 @@ StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
                                       const ReplicaConfig& config) {
   StoredPartition stored;
   stored.num_records = records.size();
-  stored.format = LayoutFormat::kBlocked;
   if (const auto zone = ComputePartitionZone(records)) {
     stored.has_zone = true;
     stored.zone = *zone;
@@ -182,52 +181,82 @@ std::vector<Record> Replica::DecodePartitionRecords(
   VerifyPartition(partition);
   const StoredPartition& stored = partitions_[partition];
   std::vector<Record> records =
-      DecodePartition(stored.data, PartitionScheme(stored), stored.format);
+      DecodePartition(stored.data, PartitionScheme(stored));
   validate(records.size() == stored.num_records,
            "Replica: decoded record count mismatch");
   return records;
 }
 
-std::shared_ptr<const std::vector<Record>> Replica::CachedPartitionRecords(
-    std::size_t partition, bool* cache_hit) const {
-  PartitionCache& cache = PartitionCache::Global();
-  if (cache.enabled()) {
-    if (auto records = cache.Lookup(cache_id_, partition)) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      return records;
-    }
-  }
-  if (cache_hit != nullptr) *cache_hit = false;
-  std::vector<Record> decoded = DecodePartitionRecords(partition);
-  if (!cache.enabled())
-    return std::make_shared<const std::vector<Record>>(std::move(decoded));
-  return cache.Insert(cache_id_, partition, std::move(decoded));
-}
-
-std::vector<Record> Replica::ScanPartitionInRange(
-    std::size_t partition, const STRange& query) const {
-  return ScanPartitionInRange(partition, query,
-                              simd::ZoneMapPruningEnabled(), nullptr);
-}
-
-std::vector<Record> Replica::ScanPartitionInRange(
-    std::size_t partition, const STRange& query, bool prune_blocks,
-    ScanCounters* counters, const CancelToken* cancel) const {
+PartitionScan Replica::ScanPartition(std::size_t partition,
+                                     const STRange& query, bool prune_blocks,
+                                     bool timed,
+                                     const CancelToken* cancel) const {
   require(partition < partitions_.size(),
-          "Replica::ScanPartitionInRange: bad partition");
-  MaybeInjectFault(partition);
-  VerifyPartition(partition);
+          "Replica::ScanPartition: bad partition");
   const StoredPartition& stored = partitions_[partition];
-  std::uint64_t total_records = 0;
-  std::vector<Record> matches = DecodePartitionInRange(
-      stored.data, PartitionScheme(stored), query, &total_records,
-      stored.format, prune_blocks, counters, cancel);
-  // An interrupted walk left before the end of the stream; the count it
-  // covered is by construction short, not corrupt.
-  if (counters == nullptr || !counters->interrupted)
+  PartitionScan scan;
+  scan.counters.timed = timed;
+  PartitionCache& cache = PartitionCache::Global();
+  if (!cache.enabled()) {
+    // The fused kernel: one pass decodes and filters, accounted as decode.
+    const std::uint64_t t0 = timed ? obs::MonotonicNanos() : 0;
+    MaybeInjectFault(partition);
+    VerifyPartition(partition);
+    std::uint64_t total_records = 0;
+    scan.matches = DecodePartitionInRange(
+        stored.data, PartitionScheme(stored), query, &total_records,
+        prune_blocks, &scan.counters, cancel);
+    if (timed) scan.decode_ms = double(obs::MonotonicNanos() - t0) * 1e-6;
+    if (scan.counters.interrupted) {
+      // Partition-granular coverage: the prefix scanned before the
+      // cancellation is discarded (and its short count is not corrupt).
+      scan.matches.clear();
+      return scan;
+    }
     validate(total_records == stored.num_records,
              "Replica: decoded record count mismatch");
-  return matches;
+    scan.stats.records_scanned = stored.num_records;
+    scan.stats.bytes_read = stored.data.size();
+    return scan;
+  }
+  const std::uint64_t t0 = timed ? obs::MonotonicNanos() : 0;
+  PartitionCache::RecordsPtr records = cache.Lookup(cache_id_, partition);
+  const bool hit = records != nullptr;
+  if (!hit)
+    records = cache.Insert(cache_id_, partition,
+                           DecodePartitionRecords(partition));
+  const std::uint64_t t1 = timed ? obs::MonotonicNanos() : 0;
+  scan.stats.records_scanned = records->size();
+  scan.stats.bytes_read = hit ? 0 : stored.data.size();
+  scan.stats.cache_hits = hit ? 1 : 0;
+  scan.stats.cache_misses = hit ? 0 : 1;
+  for (const Record& r : *records)
+    if (query.Contains(r.Position())) scan.matches.push_back(r);
+  if (timed) {
+    // A hit's latency is the probe itself; a miss's is dominated by the
+    // decode (+ cache insert) behind the probe.
+    (hit ? scan.probe_ms : scan.decode_ms) = double(t1 - t0) * 1e-6;
+    scan.filter_ms = double(obs::MonotonicNanos() - t1) * 1e-6;
+  }
+  return scan;
+}
+
+void PartitionFaultError::ThrowIfAny(
+    const ReplicaConfig& replica, const std::vector<std::size_t>& partitions,
+    const std::vector<std::string>& messages) {
+  std::vector<std::size_t> faulty;
+  std::string detail;
+  for (std::size_t k = 0; k < partitions.size(); ++k) {
+    if (messages[k].empty()) continue;
+    faulty.push_back(partitions[k]);
+    detail += " [p" + std::to_string(partitions[k]) + ": " + messages[k] + "]";
+  }
+  if (faulty.empty()) return;
+  const std::string name = replica.Name();
+  throw PartitionFaultError("Replica " + name + ": read faults on " +
+                                std::to_string(faulty.size()) +
+                                " partition(s):" + detail,
+                            name, std::move(faulty));
 }
 
 StoredPartition& Replica::MutablePartition(std::size_t i) {
@@ -258,8 +287,7 @@ QueryResult Replica::Execute(const STRange& query,
   std::vector<std::size_t> involved;
   std::size_t zone_pruned = 0;
   index_.ForEachInvolved(query, [&](std::size_t p) {
-    const StoredPartition& sp = partitions_[p];
-    if (prune && sp.has_zone && !query.Intersects(sp.zone)) {
+    if (prune && ZoneExcludes(p, query)) {
       ++zone_pruned;
       return;
     }
@@ -285,71 +313,25 @@ QueryResult Replica::Execute(const STRange& query,
   QueryResult result;
 
   const CancelToken* cancel = options.cancel;
-  const bool use_cache = PartitionCache::Global().enabled();
   const bool profiling = profile != nullptr;
-  std::vector<std::vector<Record>> matches(involved.size());
-  std::vector<QueryStats> stats(involved.size());
-  std::vector<ScanCounters> counters(involved.size());
+  std::vector<PartitionScan> scans(involved.size());
   // One flag per involved partition: set when the scan never ran (cancel
   // fired before it) or was interrupted mid-partition. Either way the
   // partition counts wholly as missed.
   std::vector<std::uint8_t> skipped(involved.size(), 0);
-  if (profiling)
-    for (ScanCounters& c : counters) c.timed = true;
-  // Sub-stage wall time per partition, merged single-threaded below so
-  // the parallel scan never shares a profile accumulator.
-  struct PartitionTimes {
-    double probe_ms = 0.0, decode_ms = 0.0, filter_ms = 0.0;
-  };
-  std::vector<PartitionTimes> times(profiling ? involved.size() : 0);
   // Per-partition read faults land in `fault_messages` (empty string =
   // healthy) rather than aborting the scan, so one bad storage unit does
   // not hide the health of the rest and the store learns every failing
   // partition in a single pass.
   std::vector<std::string> fault_messages(involved.size());
   const auto scan_one = [&](std::size_t k) {
-    const std::size_t p = involved[k];
     if (cancel != nullptr && cancel->ShouldStop()) {
       skipped[k] = 1;
       return;
     }
     try {
-      if (use_cache) {
-        bool hit = false;
-        const std::uint64_t t0 = profiling ? obs::MonotonicNanos() : 0;
-        const auto records = CachedPartitionRecords(p, &hit);
-        const std::uint64_t t1 = profiling ? obs::MonotonicNanos() : 0;
-        stats[k].records_scanned = records->size();
-        stats[k].bytes_read = hit ? 0 : partitions_[p].data.size();
-        stats[k].cache_hits = hit ? 1 : 0;
-        stats[k].cache_misses = hit ? 0 : 1;
-        for (const Record& r : *records)
-          if (query.Contains(r.Position())) matches[k].push_back(r);
-        if (profiling) {
-          const double lookup_ms = double(t1 - t0) * 1e-6;
-          // A hit's latency is the probe itself; a miss's is dominated
-          // by the decode (+ cache insert) behind the probe.
-          (hit ? times[k].probe_ms : times[k].decode_ms) = lookup_ms;
-          times[k].filter_ms = double(obs::MonotonicNanos() - t1) * 1e-6;
-        }
-      } else {
-        // Fused decode-filter kernel: no intermediate full-partition
-        // vector on this path.
-        const std::uint64_t t0 = profiling ? obs::MonotonicNanos() : 0;
-        matches[k] = ScanPartitionInRange(p, query, prune, &counters[k],
-                                          cancel);
-        if (profiling)
-          times[k].decode_ms = double(obs::MonotonicNanos() - t0) * 1e-6;
-        if (counters[k].interrupted) {
-          // Partition-granular coverage: the prefix scanned before the
-          // cancellation is discarded so `served` stays exact.
-          skipped[k] = 1;
-          matches[k].clear();
-          return;
-        }
-        stats[k].records_scanned = partitions_[p].num_records;
-        stats[k].bytes_read = partitions_[p].data.size();
-      }
+      scans[k] = ScanPartition(involved[k], query, prune, profiling, cancel);
+      if (scans[k].counters.interrupted) skipped[k] = 1;
     } catch (const CorruptData& e) {
       fault_messages[k] = e.what();
     } catch (const ReadError& e) {
@@ -371,19 +353,7 @@ QueryResult Replica::Execute(const STRange& query,
     for (std::size_t k = 0; k < involved.size(); ++k) scan_one(k);
   }
 
-  std::vector<std::size_t> faulty;
-  for (std::size_t k = 0; k < involved.size(); ++k)
-    if (!fault_messages[k].empty()) faulty.push_back(involved[k]);
-  if (!faulty.empty()) {
-    std::string what = "Replica " + config_.Name() + ": read faults on " +
-                       std::to_string(faulty.size()) + " partition(s):";
-    for (std::size_t k = 0; k < involved.size(); ++k) {
-      if (fault_messages[k].empty()) continue;
-      what += " [p" + std::to_string(involved[k]) + ": " + fault_messages[k] +
-              "]";
-    }
-    throw PartitionFaultError(what, config_.Name(), std::move(faulty));
-  }
+  PartitionFaultError::ThrowIfAny(config_, involved, fault_messages);
 
   // Coverage report: exact served/missed partition sets whenever the
   // scan was not complete (cancellation or exclusion).
@@ -410,31 +380,32 @@ QueryResult Replica::Execute(const STRange& query,
 
   for (std::size_t k = 0; k < involved.size(); ++k) {
     if (skipped[k] != 0) continue;
-    result.stats.records_scanned += stats[k].records_scanned;
-    result.stats.bytes_read += stats[k].bytes_read;
-    result.stats.cache_hits += stats[k].cache_hits;
-    result.stats.cache_misses += stats[k].cache_misses;
-    result.records.insert(result.records.end(), matches[k].begin(),
-                          matches[k].end());
+    const PartitionScan& scan = scans[k];
+    result.stats.records_scanned += scan.stats.records_scanned;
+    result.stats.bytes_read += scan.stats.bytes_read;
+    result.stats.cache_hits += scan.stats.cache_hits;
+    result.stats.cache_misses += scan.stats.cache_misses;
+    result.records.insert(result.records.end(), scan.matches.begin(),
+                          scan.matches.end());
     if (profiling) {
       const std::uint64_t encoded = partitions_[involved[k]].data.size();
-      profile->AddStage(obs::Stage::kCacheProbe, times[k].probe_ms,
-                        stats[k].cache_hits != 0 ? encoded : 0);
-      profile->AddStage(obs::Stage::kDecode, times[k].decode_ms,
-                        stats[k].bytes_read);
-      profile->AddStage(obs::Stage::kFilter, times[k].filter_ms);
+      const std::uint64_t hit_bytes = scan.stats.cache_hits != 0 ? encoded : 0;
+      profile->AddStage(obs::Stage::kCacheProbe, scan.probe_ms, hit_bytes);
+      profile->AddStage(obs::Stage::kDecode, scan.decode_ms,
+                        scan.stats.bytes_read);
+      profile->AddStage(obs::Stage::kFilter, scan.filter_ms);
       profile->AddStage(obs::Stage::kZoneMapPrune,
-                        double(counters[k].prune_ns) * 1e-6);
+                        double(scan.counters.prune_ns) * 1e-6);
       profile->AddStage(obs::Stage::kSimd,
-                        double(counters[k].decode_ns) * 1e-6);
-      profile->cache_hit_bytes += stats[k].cache_hits != 0 ? encoded : 0;
-      profile->cache_miss_bytes += stats[k].bytes_read;
+                        double(scan.counters.decode_ns) * 1e-6);
+      profile->cache_hit_bytes += hit_bytes;
+      profile->cache_miss_bytes += scan.stats.bytes_read;
     }
   }
   std::uint64_t blocks_scanned = 0, blocks_pruned = 0;
-  for (const ScanCounters& c : counters) {
-    blocks_scanned += c.blocks_total - c.blocks_pruned;
-    blocks_pruned += c.blocks_pruned;
+  for (const PartitionScan& scan : scans) {
+    blocks_scanned += scan.counters.blocks_total - scan.counters.blocks_pruned;
+    blocks_pruned += scan.counters.blocks_pruned;
   }
   if (profiling) {
     profile->partitions_touched += served_count;

@@ -27,6 +27,8 @@
 
 namespace blot {
 
+struct ReplicaConfig;
+
 // Execute() failed on specific storage units of one replica. Derives
 // CorruptData (the dominant cause) so legacy catch sites keep working,
 // but carries the exact failing partitions so the store can quarantine
@@ -41,6 +43,14 @@ class PartitionFaultError : public CorruptData {
 
   const std::string& replica_name() const { return replica_; }
   const std::vector<std::size_t>& partitions() const { return partitions_; }
+
+  // Throws one PartitionFaultError naming every partition whose
+  // `messages` entry is non-empty (messages[k] is the read fault of
+  // partitions[k], empty when that scan was healthy); returns when none
+  // failed. Replica::Execute and ExecuteBatch both report through it.
+  static void ThrowIfAny(const ReplicaConfig& replica,
+                         const std::vector<std::size_t>& partitions,
+                         const std::vector<std::string>& messages);
 
  private:
   std::string replica_;
@@ -75,19 +85,16 @@ struct ReplicaConfig {
 
 // One storage unit: an encoded partition plus integrity metadata. `codec`
 // is the replica's codec under the uniform policy, or this partition's
-// chosen codec under kBestCodecPerPartition. `format` is the wire format
-// the payload was serialized with (segments written before zone maps
-// existed load as kLegacy). `zone`, when `has_zone`, is the exact min/max
-// TIME x LOC cuboid over the partition's records — tighter than the
-// partitioning cell, so Execute can skip the whole partition without
-// touching its bytes; partitions containing NaN coordinates carry no
-// zone and are never skipped.
+// chosen codec under kBestCodecPerPartition. `zone`, when `has_zone`, is
+// the exact min/max TIME x LOC cuboid over the partition's records —
+// tighter than the partitioning cell, so Execute can skip the whole
+// partition without touching its bytes; partitions containing NaN
+// coordinates carry no zone and are never skipped.
 struct StoredPartition {
   std::uint64_t num_records = 0;
   Bytes data;               // encoded (layout + codec) bytes
   std::uint64_t checksum = 0;  // FNV-1a of `data`
   CodecKind codec = CodecKind::kNone;
-  LayoutFormat format = LayoutFormat::kBlocked;
   bool has_zone = false;
   STRange zone;
 };
@@ -120,6 +127,19 @@ struct QueryResult {
   // map are provably empty for the query and appear in neither list.
   std::vector<std::size_t> served_partitions;
   std::vector<std::size_t> missed_partitions;
+};
+
+// One partition's share of a range scan (Replica::ScanPartition).
+struct PartitionScan {
+  std::vector<Record> matches;
+  // records_scanned, bytes_read and the cache hit/miss of this partition;
+  // partitions_scanned is left to the caller.
+  QueryStats stats;
+  // Block accounting of the fused kernel. `interrupted`: a cancellation
+  // stopped the scan mid-partition, and `matches` and `stats` are empty.
+  ScanCounters counters;
+  // Sub-stage wall time, filled only when the scan was timed.
+  double probe_ms = 0.0, decode_ms = 0.0, filter_ms = 0.0;
 };
 
 // Knobs for Replica::Execute. Results are byte-identical across every
@@ -178,10 +198,8 @@ class Replica {
 
   // Answers a range query: scans involved partitions and filters records
   // by `query` (Section II-D). Partitions are scanned in parallel when
-  // `pool` is non-null. Each involved partition is served from the global
-  // PartitionCache when it is enabled (miss: full decode + insert);
-  // otherwise through the fused decode-filter kernel, which never
-  // materializes non-matching records.
+  // `pool` is non-null, each through ScanPartition (the decoded-partition
+  // cache when it is enabled, the fused decode-filter kernel otherwise).
   //
   // Per-partition read faults (CorruptData, ReadError — real or injected)
   // are collected across all involved partitions and rethrown as one
@@ -197,8 +215,8 @@ class Replica {
   // (profile->parallel_scan is set).
   // Before any of that, partitions whose stored zone (see StoredPartition)
   // does not intersect `query` are skipped outright — never read, decoded
-  // or fault-injected — and inside surviving blocked-format partitions the
-  // per-block zone maps prune non-intersecting blocks. The scan engine
+  // or fault-injected — and on the fused path the per-block zone maps
+  // prune non-intersecting blocks of the rest. The scan engine
   // (scalar / SSE4.2 / AVX2, picked at startup) decodes the rest.
   QueryResult Execute(const STRange& query, const ScanOptions& options) const;
 
@@ -214,25 +232,26 @@ class Replica {
   // encoded bytes and runs the ordinary checksum check against it.
   std::vector<Record> DecodePartitionRecords(std::size_t partition) const;
 
-  // DecodePartitionRecords through the global PartitionCache: returns the
-  // pinned cached entry on a hit, otherwise decodes, caches and returns.
-  // When the cache is disabled this is exactly DecodePartitionRecords
-  // (wrapped). `cache_hit` (optional) reports which path was taken.
-  std::shared_ptr<const std::vector<Record>> CachedPartitionRecords(
-      std::size_t partition, bool* cache_hit = nullptr) const;
+  // The records of `partition` inside `query`, in stored order: the one
+  // per-partition read of every range query (Execute and ExecuteBatch).
+  // With the global PartitionCache enabled it probes the cache and, on a
+  // miss, decodes the whole partition, inserts it and filters; otherwise
+  // it runs the fused decode-filter kernel (layout.h), which prunes
+  // blocks by their zone maps when `prune_blocks` and never materializes
+  // non-matching records. `timed` fills the sub-stage times and block
+  // timings. `cancel` is polled at every block boundary of the fused
+  // kernel. Throws CorruptData / ReadError like DecodePartitionRecords.
+  PartitionScan ScanPartition(std::size_t partition, const STRange& query,
+                              bool prune_blocks, bool timed = false,
+                              const CancelToken* cancel = nullptr) const;
 
-  // Fused decode-filter scan of one partition: the records of `partition`
-  // inside `query`, without materializing the rest (layout.h). Verifies
-  // the checksum like DecodePartitionRecords. `prune_blocks` controls the
-  // block-level zone map (the two-arg overload follows the process-wide
-  // toggle); `counters` (optional) receives block-level accounting;
-  // `cancel` (requires `counters`) stops at the next block boundary with
-  // `counters->interrupted` set.
-  std::vector<Record> ScanPartitionInRange(std::size_t partition,
-                                           const STRange& query) const;
-  std::vector<Record> ScanPartitionInRange(
-      std::size_t partition, const STRange& query, bool prune_blocks,
-      ScanCounters* counters, const CancelToken* cancel = nullptr) const;
+  // True when `partition`'s stored zone proves it holds no record of
+  // `query`: the partition-level skip every scan applies after the index
+  // (when zone-map pruning is on).
+  bool ZoneExcludes(std::size_t partition, const STRange& query) const {
+    const StoredPartition& stored = partitions_[partition];
+    return stored.has_zone && !query.Intersects(stored.zone);
+  }
 
   const StoredPartition& partition(std::size_t i) const {
     return partitions_[i];

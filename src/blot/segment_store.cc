@@ -11,13 +11,16 @@ namespace {
 constexpr std::uint64_t kManifestMagic = 0x31474553544F4C42ull;  // "BLOTSEG1"
 // Version history:
 //   1 — original layout: per-partition {range, num_records, offset, size,
-//       checksum, codec}. Payloads predate the blocked wire format.
-//   2 — adds per-partition {layout format, has_zone, zone range}: the
-//       wire format the payload was serialized with and the partition's
-//       exact bounding cuboid for zone-map pruning.
-// Load accepts both; version-1 partitions come back as kLegacy with no
-// zone, so old segment directories keep working unchanged.
+//       checksum, codec}. Payloads predate the blocked wire format; no
+//       longer loadable.
+//   2 — adds per-partition {wire format, has_zone, zone range}: the wire
+//       format byte (always kBlockedFormat) and the partition's exact
+//       bounding cuboid for zone-map pruning.
+// Load accepts version 2 only, and only the blocked format byte.
 constexpr std::uint32_t kManifestVersion = 2;
+// The per-partition wire format byte of the blocked layout. Byte 1 was
+// the retired monolithic format; a manifest naming it is rejected.
+constexpr std::uint8_t kBlockedFormat = 2;
 
 const char* kManifestName = "manifest.blot";
 const char* kSegmentsName = "segments.dat";
@@ -107,7 +110,7 @@ void SegmentStore::Save(const Replica& replica,
     manifest.PutVarint(stored.data.size());
     manifest.PutU64(stored.checksum);
     manifest.PutString(std::string(CodecKindName(stored.codec)));
-    manifest.PutU8(static_cast<std::uint8_t>(stored.format));
+    manifest.PutU8(kBlockedFormat);
     manifest.PutU8(stored.has_zone ? 1 : 0);
     if (stored.has_zone) PutRange(manifest, stored.zone);
   }
@@ -130,7 +133,7 @@ Replica SegmentStore::Load(const std::filesystem::path& directory) {
   validate(manifest.GetU64() == kManifestMagic,
            "SegmentStore: bad manifest magic");
   const std::uint32_t version = manifest.GetU32();
-  validate(version == 1 || version == kManifestVersion,
+  validate(version == kManifestVersion,
            "SegmentStore: unsupported manifest version");
   ReplicaConfig config;
   config.encoding = EncodingScheme::FromName(manifest.GetString());
@@ -162,22 +165,12 @@ Replica SegmentStore::Load(const std::filesystem::path& directory) {
     const std::uint64_t size = manifest.GetVarint();
     stored.checksum = manifest.GetU64();
     stored.codec = CodecKindFromName(manifest.GetString());
-    if (version >= 2) {
-      const std::uint8_t format = manifest.GetU8();
-      validate(format == static_cast<std::uint8_t>(LayoutFormat::kLegacy) ||
-                   format == static_cast<std::uint8_t>(LayoutFormat::kBlocked),
-               "SegmentStore: unknown partition layout format");
-      stored.format = static_cast<LayoutFormat>(format);
-      const std::uint8_t has_zone = manifest.GetU8();
-      validate(has_zone <= 1, "SegmentStore: bad partition zone flag");
-      stored.has_zone = has_zone == 1;
-      if (stored.has_zone) stored.zone = GetRange(manifest);
-    } else {
-      // Pre-zone-map segment: the payload is the monolithic legacy wire
-      // format and no zone exists — the partition is never zone-skipped.
-      stored.format = LayoutFormat::kLegacy;
-      stored.has_zone = false;
-    }
+    validate(manifest.GetU8() == kBlockedFormat,
+             "SegmentStore: unsupported partition wire format");
+    const std::uint8_t has_zone = manifest.GetU8();
+    validate(has_zone <= 1, "SegmentStore: bad partition zone flag");
+    stored.has_zone = has_zone == 1;
+    if (stored.has_zone) stored.zone = GetRange(manifest);
     validate(offset + size <= segments.size(),
              "SegmentStore: segment extends past data file");
     stored.data.assign(segments.begin() + static_cast<std::ptrdiff_t>(offset),

@@ -5,7 +5,7 @@
 // query, so corruption in one physical organization must never lose a
 // query. This module supplies the faults that claim is tested against.
 // A process-wide FaultInjector is consulted at the partition read
-// boundary (Replica::DecodePartitionRecords / ScanPartitionInRange); when
+// boundary (Replica::DecodePartitionRecords / ScanPartition); when
 // armed it deterministically decides, per (replica, partition), whether
 // that read suffers a bit flip, a truncation, a torn read, an outright
 // read error, or a latency spike. Corruptions are applied to a copy of

@@ -3,19 +3,17 @@
 // The store never trusts a storage unit that failed a read: a partition
 // whose checksum mismatched (or whose read errored) is quarantined and
 // withheld from routing until self-healing repair re-encodes it from a
-// healthy replica (docs/robustness.md). The state machine per partition:
+// healthy replica (docs/robustness.md). Every read fault is attributed
+// to the partitions that failed (PartitionFaultError), so the state
+// machine per partition has two states:
 //
-//   ok ──(unattributed execution failure)──> suspect
-//   ok / suspect ──(attributed read fault)──> quarantined
-//   suspect ──(second strike)──> quarantined
-//   suspect ──(clean read)──> ok
+//   ok ──(read fault)──> quarantined
 //   quarantined ──(successful repair)──> ok
 //
-// Suspect partitions still serve queries (their replica's routing cost is
-// penalized); quarantined partitions never do. All methods are
-// thread-safe; the per-replica unhealthy count lets the routing hot path
-// skip the partition-level check entirely for fully healthy replicas
-// with one relaxed atomic load.
+// Quarantined partitions never serve queries. All methods are
+// thread-safe; the per-replica quarantined count lets the routing hot
+// path skip the partition-level check entirely for fully healthy
+// replicas with one relaxed atomic load.
 #ifndef BLOT_CORE_HEALTH_H_
 #define BLOT_CORE_HEALTH_H_
 
@@ -27,7 +25,7 @@
 
 namespace blot {
 
-enum class PartitionHealth : std::uint8_t { kOk, kSuspect, kQuarantined };
+enum class PartitionHealth : std::uint8_t { kOk, kQuarantined };
 
 class HealthMap {
  public:
@@ -37,7 +35,6 @@ class HealthMap {
   };
   struct Counts {
     std::size_t ok = 0;
-    std::size_t suspect = 0;
     std::size_t quarantined = 0;
   };
 
@@ -54,13 +51,10 @@ class HealthMap {
   std::size_t NumReplicas() const;
   PartitionHealth Get(std::size_t replica, std::size_t partition) const;
 
-  // Attributed read fault: the partition goes straight to quarantined.
-  // Returns true if the state changed (false if already quarantined).
+  // Read fault: the partition is quarantined. Returns true if the state
+  // changed (false if already quarantined).
   bool Quarantine(std::size_t replica, std::size_t partition);
-  // Unattributed failure: ok -> suspect, suspect -> quarantined
-  // (two-strike escalation). Returns the new state.
-  PartitionHealth MarkSuspect(std::size_t replica, std::size_t partition);
-  // Clean read or successful repair: back to ok.
+  // Successful repair: back to ok.
   void MarkOk(std::size_t replica, std::size_t partition);
 
   // True when every partition of `replica` is ok — one relaxed atomic
@@ -69,8 +63,6 @@ class HealthMap {
 
   bool AnyQuarantined(std::size_t replica,
                       const std::vector<std::size_t>& partitions) const;
-  bool AnySuspect(std::size_t replica,
-                  const std::vector<std::size_t>& partitions) const;
 
   // Snapshot of every quarantined (replica, partition) pair — the repair
   // queue's view.
@@ -83,7 +75,7 @@ class HealthMap {
  private:
   mutable std::mutex mutex_;
   std::vector<std::vector<PartitionHealth>> states_;
-  // unhealthy_[r]: suspect + quarantined partitions of replica r.
+  // unhealthy_[r]: quarantined partitions of replica r.
   // shared_ptr-free stable storage: grown only under the mutex, read
   // lock-free by AllOk.
   std::vector<std::unique_ptr<std::atomic<std::size_t>>> unhealthy_;

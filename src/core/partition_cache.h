@@ -32,9 +32,17 @@
 // time cumulative evicted bytes churn through a full cache capacity —
 // the signal that the working set no longer fits.
 //
+// The cache holds whole decoded partitions, probed per partition by
+// Replica::ScanPartition, the one read of both Replica::Execute and
+// blot::ExecuteBatch. A hit bypasses the fused scan's block zone maps:
+// filtering a resident decoded partition is cheaper than decompressing
+// even its surviving blocks. A prototype that cached decompressed bytes
+// under the fused scan instead measured slower on the hotspot workload
+// (docs/performance.md, "Decoded-partition cache").
+//
 // This header lives in src/core next to the routing/store layer that
 // configures it, but the code is compiled into blot_storage because the
-// scan hot path (Replica::Execute, blot::ExecuteBatch) consumes it.
+// scan path in Replica consumes it.
 #ifndef BLOT_CORE_PARTITION_CACHE_H_
 #define BLOT_CORE_PARTITION_CACHE_H_
 
@@ -79,9 +87,9 @@ class PartitionCache {
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
 
-  // The process-wide cache consulted by Replica::Execute and
-  // blot::ExecuteBatch. Disabled (budget 0) at startup; blotctl's
-  // --cache-mb and the examples configure it.
+  // The process-wide cache consulted by Replica::ScanPartition.
+  // Disabled (budget 0) at startup; blotctl's --cache-mb and the
+  // examples configure it.
   static PartitionCache& Global();
 
   // Allocates a fresh, never-reused replica identity. Called by

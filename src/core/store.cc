@@ -104,27 +104,22 @@ std::string PartitionList(const std::vector<std::size_t>& partitions) {
   return out;
 }
 
-// Records health-state transitions into the quarantine.* metrics and
+// Records quarantine transitions into the quarantine.* metrics and
 // emits a typed `quarantine` event naming the affected partitions.
 void RecordQuarantine(std::string_view replica_name,
                       const std::vector<std::size_t>& partitions,
-                      std::size_t newly_quarantined,
-                      std::size_t newly_suspect, std::size_t active) {
+                      std::size_t newly_quarantined, std::size_t active) {
   auto& registry = obs::MetricsRegistry::global();
   if (registry.enabled()) {
     Count("quarantine.partitions_total", newly_quarantined);
-    Count("quarantine.suspects_total", newly_suspect);
     registry.GetGauge("quarantine.active").Set(static_cast<double>(active));
   }
   obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && (newly_quarantined > 0 || newly_suspect > 0)) {
-    log.Warn("quarantine",
-             newly_quarantined > 0 ? "partitions quarantined"
-                                   : "partitions marked suspect",
+  if (log.enabled() && newly_quarantined > 0) {
+    log.Warn("quarantine", "partitions quarantined",
              {obs::Field("replica", std::string(replica_name)),
               obs::Field("partitions", PartitionList(partitions)),
               obs::Field("newly_quarantined", newly_quarantined),
-              obs::Field("newly_suspect", newly_suspect),
               obs::Field("active_quarantined", active)});
   }
 }
@@ -139,7 +134,7 @@ void QuarantineFault(HealthMap& health, std::size_t index,
     PartitionCache::Global().Invalidate(replica.cache_id(), p);
   }
   RecordQuarantine(replica.config().Name(), e.partitions(), newly_quarantined,
-                   0, health.QuarantinedCount());
+                   health.QuarantinedCount());
 }
 
 // Total order over records so multiset containment can be checked by a
@@ -298,11 +293,10 @@ std::uint64_t BlotStore::TotalStorageBytes() const {
   return total;
 }
 
-BlotStore::Ranking BlotStore::RankCandidates(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy) const {
+BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
+                                             const CostModel& model) const {
   Ranking out;
-  // (adjusted cost, decision with the raw estimate): suspect penalties
+  // (adjusted cost, decision with the raw estimate): brownout penalties
   // steer the ordering but must not distort the reported estimate.
   std::vector<std::pair<double, RoutingDecision>> scored;
   for (std::size_t i = 0; i < sketches_.size(); ++i) {
@@ -314,16 +308,11 @@ BlotStore::Ranking BlotStore::RankCandidates(
     std::size_t np = 0;  // the estimate's own walk counts Np
     const double cost = model.QueryCostMs(sketches_[i], query, &np);
     const RoutingDecision decision{i, cost, np};
-    double adjusted = cost;
     std::vector<std::size_t> lost;
     if (!health_->AllOk(i)) {
-      const std::vector<std::size_t> involved =
-          sketches_[i].index.InvolvedPartitions(query);
-      for (const std::size_t p : involved)
+      for (const std::size_t p : sketches_[i].index.InvolvedPartitions(query))
         if (health_->Get(i, p) == PartitionHealth::kQuarantined)
           lost.push_back(p);
-      if (health_->AnySuspect(i, involved))
-        adjusted *= policy.suspect_cost_penalty;
     }
     if (!out.fallback || lost.size() < out.lost.size() ||
         (lost.size() == out.lost.size() &&
@@ -334,8 +323,7 @@ BlotStore::Ranking BlotStore::RankCandidates(
     if (!lost.empty()) continue;
     // Brownout: a replica whose observed reads run far slower than its
     // peers' is deprioritized (not quarantined — slow is not corrupt).
-    adjusted *= latency_->BrownoutPenalty(i);
-    scored.push_back({adjusted, decision});
+    scored.push_back({cost * latency_->BrownoutPenalty(i), decision});
   }
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) {
@@ -371,7 +359,7 @@ BlotStore::RoutingDecision BlotStore::RouteQueryDetailed(
     const STRange& query, const CostModel& model) const {
   require(!replicas_.empty(), "BlotStore::RouteQuery: no replicas");
   std::shared_lock lock(sync_->state_mutex);
-  const Ranking ranking = RankCandidates(query, model, policy_);
+  const Ranking ranking = RankCandidates(query, model);
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
@@ -437,7 +425,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     std::shared_lock lock(sync_->state_mutex);
     policy = policy_;
     ctx.max_scan_parallelism = max_scan_parallelism_;
-    ranking = RankCandidates(query, model, policy);
+    ranking = RankCandidates(query, model);
     for (const Replica& rep : replicas_) names.push_back(rep.config().Name());
   }
   const std::size_t max_attempts =
@@ -586,7 +574,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
         Ranking now;
         {
           std::shared_lock lock(sync_->state_mutex);
-          now = RankCandidates(query, model, policy);
+          now = RankCandidates(query, model);
         }
         if (!now.fallback) break;
         excluded = std::move(now.lost);
@@ -759,17 +747,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
               obs::Field("served", routed.result.served_partitions.size()),
               obs::Field("missed",
                          PartitionList(routed.result.missed_partitions))});
-  }
-  // A clean read clears suspicion: suspect involved partitions of the
-  // serving replica return to ok. A partial read proves nothing about the
-  // partitions it never reached, so it clears nothing.
-  if (!routed.partial && !health_->AllOk(routed.replica_index)) {
-    std::shared_lock lock(sync_->state_mutex);
-    for (const std::size_t p :
-         sketches_[routed.replica_index].index.InvolvedPartitions(query)) {
-      if (health_->Get(routed.replica_index, p) == PartitionHealth::kSuspect)
-        health_->MarkOk(routed.replica_index, p);
-    }
   }
   if (ctx.trace != nullptr) {
     obs::TraceSpan& trace = *ctx.trace;
@@ -1091,7 +1068,7 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     // replaces the ordered map (allocator churn on large batches).
     std::vector<std::vector<std::size_t>> groups(replicas_.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      const Ranking ranking = RankCandidates(queries[q], model, policy_);
+      const Ranking ranking = RankCandidates(queries[q], model);
       require(ranking.covering > 0,
               "BlotStore::RouteQuery: no replica can serve the query (add "
               "a full replica)");
@@ -1121,30 +1098,8 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
               .GetCounter("query.routed_total",
                           {{"replica", replicas_[replica].config().Name()}})
               .Increment(query_ids.size());
-      } catch (const CorruptData&) {
-        // The shared scan cannot attribute the fault to one partition:
-        // mark the group's involved partitions suspect (two strikes
-        // quarantine) and retry each query with per-query failover.
-        std::size_t newly_suspect = 0;
-        std::size_t newly_quarantined = 0;
-        std::vector<std::size_t> affected;
-        for (const std::size_t q : query_ids) {
-          for (const std::size_t p :
-               sketches_[replica].index.InvolvedPartitions(queries[q])) {
-            // ok -> suspect, or a second strike: suspect -> quarantined.
-            const PartitionHealth before = health_->Get(replica, p);
-            const PartitionHealth after = health_->MarkSuspect(replica, p);
-            if (after == before) continue;
-            ++(after == PartitionHealth::kQuarantined ? newly_quarantined
-                                                      : newly_suspect);
-            affected.push_back(p);
-          }
-        }
-        RecordQuarantine(replicas_[replica].config().Name(), affected,
-                         newly_quarantined, newly_suspect,
-                         health_->QuarantinedCount());
-        fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
-      } catch (const ReadError&) {
+      } catch (const PartitionFaultError& e) {
+        QuarantineFault(*health_, replica, replicas_[replica], e);
         fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
       }
     }

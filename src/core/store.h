@@ -104,9 +104,6 @@ struct FailoverPolicy {
   RepairMode repair = RepairMode::kSync;
   // Partitions repaired per sweep; 0 means every quarantined partition.
   std::size_t repair_budget = 0;
-  // Routing-cost multiplier for replicas with suspect involved
-  // partitions: still eligible, but only chosen when clearly cheapest.
-  double suspect_cost_penalty = 4.0;
 };
 
 class BlotStore {
@@ -284,9 +281,10 @@ class BlotStore {
 
   // Routes every query to its cheapest healthy replica, then executes
   // each replica's group as one shared scan (each involved partition
-  // decoded once per replica, blot/batch.h). A group whose shared scan
-  // hits a read fault falls back to per-query failover-aware Execute for
-  // its queries, so one bad storage unit degrades only that group.
+  // read once per replica, blot/batch.h). A group whose shared scan hits
+  // read faults quarantines exactly the failing partitions, as Execute
+  // does, and falls back to per-query failover-aware Execute for its
+  // queries, so one bad storage unit degrades only that group.
   RoutedBatchResult ExecuteBatch(std::span<const STRange> queries,
                                  const CostModel& model,
                                  ThreadPool* pool = nullptr);
@@ -301,10 +299,10 @@ class BlotStore {
   };
 
   // The replica `model` estimates cheapest for `query` among healthy
-  // candidates (quarantined involvement excludes a replica; suspect
-  // involvement penalizes its cost), with the estimate and predicted
-  // involvement that drove the choice. Throws QueryFailedError when
-  // covering replicas exist but all are quarantined for this query.
+  // candidates (quarantined involvement excludes a replica), with the
+  // estimate and predicted involvement that drove the choice. Throws
+  // QueryFailedError when covering replicas exist but all are
+  // quarantined for this query.
   RoutingDecision RouteQueryDetailed(const STRange& query,
                                      const CostModel& model) const;
 
@@ -379,8 +377,7 @@ class BlotStore {
   };
 
   // Health-aware candidate ranking; no locking (callers hold state_mutex).
-  Ranking RankCandidates(const STRange& query, const CostModel& model,
-                         const FailoverPolicy& policy) const;
+  Ranking RankCandidates(const STRange& query, const CostModel& model) const;
   // Builds the QueryFailedError for `query` from the current health map;
   // no locking (callers hold state_mutex).
   QueryFailedError UnservableError(const STRange& query) const;

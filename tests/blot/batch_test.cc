@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 #include "common/fixtures.h"
@@ -16,16 +17,19 @@ using test::Sorted;
 struct Fixture : test::TaxiFixture {
   Replica replica;
 
-  Fixture()
+  explicit Fixture(const char* encoding = "COL-GZIP")
       : TaxiFixture(12, 300),
         replica(Replica::Build(
             dataset,
             {{.spatial_partitions = 16, .temporal_partitions = 8},
-             EncodingScheme::FromName("COL-GZIP")},
+             EncodingScheme::FromName(encoding)},
             universe)) {}
 
-  // An overlapping grid of queries, like a heat-map computation.
-  std::vector<STRange> GridQueries(int cells) const {
+  // An overlapping grid of queries, like a heat-map computation, over
+  // the whole time span or (`last_day`) only its final 24 hours.
+  std::vector<STRange> GridQueries(int cells, bool last_day = false) const {
+    const double t_min =
+        last_day ? universe.t_max() - 86400.0 : universe.t_min();
     std::vector<STRange> queries;
     for (int gx = 0; gx < cells; ++gx) {
       for (int gy = 0; gy < cells; ++gy) {
@@ -34,22 +38,44 @@ struct Fixture : test::TaxiFixture {
             universe.x_min() + universe.Width() * (gx + 1) / cells,
             universe.y_min() + universe.Height() * gy / cells,
             universe.y_min() + universe.Height() * (gy + 1) / cells,
-            universe.t_min(), universe.t_max()));
+            t_min, universe.t_max()));
       }
     }
     return queries;
   }
 };
 
+// Batch output is per-query Execute output exactly, records and order
+// (both ascend by partition), on row and column replicas, whole-month
+// and selective grids, with the decoded-partition cache off and on,
+// serial and pooled.
 TEST(ExecuteBatchTest, MatchesPerQueryExecution) {
-  const Fixture f;
-  const std::vector<STRange> queries = f.GridQueries(4);
-  const BatchResult batch = ExecuteBatch(f.replica, queries);
-  ASSERT_EQ(batch.per_query.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(Sorted(batch.per_query[q]),
-              Sorted(f.replica.Execute(queries[q]).records))
-        << "query " << q;
+  ThreadPool pool(4);
+  for (const char* encoding : {"ROW-SNAPPY", "COL-GZIP"}) {
+    const Fixture f(encoding);
+    for (const bool last_day : {false, true}) {
+      const std::vector<STRange> queries = f.GridQueries(4, last_day);
+      for (const bool cached : {false, true}) {
+        std::optional<test::GlobalCacheGuard> cache;
+        if (cached) cache.emplace(64 << 20);
+        for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr),
+                                     &pool}) {
+          const BatchResult batch =
+              ExecuteBatch(f.replica, queries, executor);
+          ASSERT_EQ(batch.per_query.size(), queries.size());
+          std::size_t matched = 0;
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            EXPECT_EQ(batch.per_query[q], f.replica.Execute(queries[q]).records)
+                << encoding << (last_day ? " last-24h" : " whole-month")
+                << (cached ? " cached" : " uncached")
+                << (executor != nullptr ? " pooled" : " serial") << " query "
+                << q;
+            matched += batch.per_query[q].size();
+          }
+          EXPECT_GT(matched, 0u);
+        }
+      }
+    }
   }
 }
 

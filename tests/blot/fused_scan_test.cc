@@ -120,6 +120,8 @@ TEST_F(FusedScanTest, TruncatedInputThrows) {
   }
 }
 
+// Replica::ScanPartition with the cache off (the default) is the fused
+// kernel with block pruning; it must equal decode-then-filter.
 TEST_F(FusedScanTest, ReplicaScanPartitionInRangeMatchesDecode) {
   for (const char* name : {"ROW-SNAPPY", "COL-GZIP"}) {
     const Replica replica = Replica::Build(
@@ -129,7 +131,7 @@ TEST_F(FusedScanTest, ReplicaScanPartitionInRangeMatchesDecode) {
         universe);
     for (const STRange& query : QueryShapes()) {
       for (std::size_t p : replica.index().InvolvedPartitions(query)) {
-        EXPECT_EQ(replica.ScanPartitionInRange(p, query),
+        EXPECT_EQ(replica.ScanPartition(p, query, true).matches,
                   NaiveFilter(replica.DecodePartitionRecords(p), query))
             << name << " partition " << p;
       }
@@ -179,7 +181,7 @@ TEST_F(FusedScanTest, HybridEncodingPolicyUsesPerPartitionCodec) {
       universe);
   for (const STRange& query : QueryShapes()) {
     for (std::size_t p : replica.index().InvolvedPartitions(query)) {
-      EXPECT_EQ(replica.ScanPartitionInRange(p, query),
+      EXPECT_EQ(replica.ScanPartition(p, query, true).matches,
                 NaiveFilter(replica.DecodePartitionRecords(p), query));
     }
   }

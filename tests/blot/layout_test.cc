@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/taxi_generator.h"
 #include "util/error.h"
 
@@ -86,19 +88,24 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(LayoutPropertyTest, RowLayoutIsFixedWidth) {
-  const std::vector<Record> records = FleetRecords(2, 100);
-  const Bytes legacy =
-      SerializeRecords(records, Layout::kRow, LayoutFormat::kLegacy);
-  // Varint count prefix (2 bytes for 200) + fixed rows.
-  EXPECT_EQ(legacy.size(), 2 + records.size() * kRecordRowBytes);
-  // The blocked format adds only per-block framing on top of the same
-  // fixed rows: count + block size prefixes, then one ~55-byte header
-  // (count, flags, zone bounds, payload length) per 512-record block.
-  const Bytes blocked = SerializeRecords(records, Layout::kRow);
-  const std::size_t blocks =
-      (records.size() + kScanBlockRecords - 1) / kScanBlockRecords;
-  EXPECT_GT(blocked.size(), records.size() * kRecordRowBytes);
-  EXPECT_LE(blocked.size(), records.size() * kRecordRowBytes + 4 + 64 * blocks);
+  // Every row payload is exactly kRecordRowBytes per record; the blocked
+  // format adds only its framing: count + block size prefixes, then per
+  // 512-record block a header of count, flags, six zone bounds and the
+  // payload length.
+  const auto varint_bytes = [](std::size_t v) {
+    std::size_t bytes = 1;
+    for (; v >= 0x80; v >>= 7) ++bytes;
+    return bytes;
+  };
+  const std::vector<Record> records = FleetRecords(2, 600);  // 3 blocks
+  std::size_t expected =
+      varint_bytes(records.size()) + varint_bytes(kScanBlockRecords);
+  for (std::size_t off = 0; off < records.size(); off += kScanBlockRecords) {
+    const std::size_t n = std::min(kScanBlockRecords, records.size() - off);
+    expected += varint_bytes(n) + 1 + 6 * 8 +
+                varint_bytes(n * kRecordRowBytes) + n * kRecordRowBytes;
+  }
+  EXPECT_EQ(SerializeRecords(records, Layout::kRow).size(), expected);
 }
 
 TEST(LayoutPropertyTest, ColumnLayoutIsSmallerOnTrajectoryData) {

@@ -1,13 +1,15 @@
-// Zone-map edge cases and format-versioning tests: the blocked wire
-// format's pruning must never change answers — only skip work — and
-// segment directories written before zone maps existed must keep
-// loading (as kLegacy, never zone-skipped).
+// Zone-map edge cases and manifest-versioning tests: the blocked wire
+// format's pruning must never change answers — only skip work — version-2
+// segment directories round-trip byte-identically, and directories
+// naming the retired monolithic format (version-1 manifests, or format
+// byte 1) are rejected as corrupt.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 
 #include "blot/encoding_scheme.h"
 #include "blot/layout.h"
@@ -47,13 +49,11 @@ ScanCounters ExpectPrunedEqualsUnpruned(const std::vector<Record>& records,
   ScanCounters pruned;
   std::uint64_t total = 0;
   EXPECT_EQ(DeserializeRecordsInRange(data, layout, query, &total,
-                                      LayoutFormat::kBlocked,
                                       /*prune_blocks=*/true, &pruned),
             expected);
   EXPECT_EQ(total, records.size());
   ScanCounters unpruned;
   EXPECT_EQ(DeserializeRecordsInRange(data, layout, query, nullptr,
-                                      LayoutFormat::kBlocked,
                                       /*prune_blocks=*/false, &unpruned),
             expected);
   EXPECT_EQ(unpruned.blocks_pruned, 0u);
@@ -68,8 +68,8 @@ TEST_P(ZoneMapLayoutTest, EmptyPartitionScans) {
   ScanCounters counters;
   EXPECT_TRUE(DeserializeRecordsInRange(
                   data, GetParam(),
-                  STRange::FromBounds(0, 1, 0, 1, 0, 1), nullptr,
-                  LayoutFormat::kBlocked, true, &counters)
+                  STRange::FromBounds(0, 1, 0, 1, 0, 1), nullptr, true,
+                  &counters)
                   .empty());
   EXPECT_EQ(counters.blocks_total, 0u);
 }
@@ -170,21 +170,6 @@ TEST_P(ZoneMapLayoutTest, SelectiveQueryPrunesMostBlocks) {
   EXPECT_GT(counters.blocks_pruned, counters.blocks_total / 2);
 }
 
-TEST_P(ZoneMapLayoutTest, BlockedAndLegacyFormatsAgree) {
-  const std::vector<Record> records = FleetRecords(3, 333);
-  const Bytes blocked = SerializeRecords(records, GetParam());
-  const Bytes legacy =
-      SerializeRecords(records, GetParam(), LayoutFormat::kLegacy);
-  EXPECT_EQ(DeserializeRecords(blocked, GetParam()),
-            DeserializeRecords(legacy, GetParam(), LayoutFormat::kLegacy));
-  const STRange query = STRange::FromBounds(-1e9, 1e9, -1e9, 1e9,
-                                            double(records[10].time),
-                                            double(records[200].time));
-  EXPECT_EQ(DeserializeRecordsInRange(blocked, GetParam(), query),
-            DeserializeRecordsInRange(legacy, GetParam(), query, nullptr,
-                                      LayoutFormat::kLegacy));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Layouts, ZoneMapLayoutTest,
     ::testing::Values(Layout::kRow, Layout::kColumn),
@@ -236,6 +221,55 @@ class SegmentVersioningTest : public ::testing::Test {
     w.PutF64(r.t_max());
   }
 
+  static Bytes ReadFile(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return Bytes((std::istreambuf_iterator<char>(in)),
+                 std::istreambuf_iterator<char>());
+  }
+
+  // Writes `replica`'s payloads and a hand-built manifest under dir_:
+  // `version` in the header, and per partition the `format` byte plus a
+  // "no zone" flag when `format` is set (version 1 has neither field).
+  void WriteHandManifest(const Replica& replica, std::uint32_t version,
+                         std::optional<std::uint8_t> format) {
+    Bytes segments;
+    std::vector<std::uint64_t> offsets;
+    for (std::size_t p = 0; p < replica.NumPartitions(); ++p) {
+      const Bytes& data = replica.partition(p).data;
+      offsets.push_back(segments.size());
+      segments.insert(segments.end(), data.begin(), data.end());
+    }
+    fs::create_directories(dir_);
+    WriteFile(dir_ / "segments.dat", segments);
+
+    ByteWriter manifest;
+    manifest.PutU64(0x31474553544F4C42ull);  // "BLOTSEG1"
+    manifest.PutU32(version);
+    manifest.PutString(replica.config().encoding.Name());
+    manifest.PutU8(0);  // uniform policy
+    manifest.PutString(
+        SpatialMethodName(replica.config().partitioning.method));
+    manifest.PutVarint(replica.config().partitioning.spatial_partitions);
+    manifest.PutVarint(replica.config().partitioning.temporal_partitions);
+    PutRange(manifest, replica.universe());
+    manifest.PutVarint(replica.NumPartitions());
+    for (std::size_t p = 0; p < replica.NumPartitions(); ++p) {
+      const StoredPartition& stored = replica.partition(p);
+      PutRange(manifest, replica.index().Range(p));
+      manifest.PutVarint(stored.num_records);
+      manifest.PutVarint(offsets[p]);
+      manifest.PutVarint(stored.data.size());
+      manifest.PutU64(stored.checksum);
+      manifest.PutString(std::string(CodecKindName(stored.codec)));
+      if (format) {
+        manifest.PutU8(*format);
+        manifest.PutU8(0);  // no zone
+      }
+    }
+    manifest.PutU64(Fnv1a64(manifest.buffer()));
+    WriteFile(dir_ / "manifest.blot", manifest.buffer());
+  }
+
   fs::path dir_;
   Dataset dataset_;
   STRange universe_;
@@ -250,8 +284,6 @@ TEST_F(SegmentVersioningTest, Version2RoundTripPreservesFormatAndZones) {
   for (std::size_t p = 0; p < original.NumPartitions(); ++p) {
     const StoredPartition& before = original.partition(p);
     const StoredPartition& after = loaded.partition(p);
-    EXPECT_EQ(after.format, before.format);
-    EXPECT_EQ(after.format, LayoutFormat::kBlocked);
     ASSERT_EQ(after.has_zone, before.has_zone);
     if (before.has_zone) {
       any_zone = true;
@@ -260,64 +292,35 @@ TEST_F(SegmentVersioningTest, Version2RoundTripPreservesFormatAndZones) {
   }
   EXPECT_TRUE(any_zone);  // real data must produce zones
   EXPECT_EQ(loaded.Reconstruct(), original.Reconstruct());
+  // Saving what was loaded writes the same bytes: the manifest (format
+  // byte included) and the data file are stable across a round trip.
+  const fs::path again = dir_.string() + "_again";
+  SegmentStore::Save(loaded, again);
+  EXPECT_EQ(ReadFile(again / "manifest.blot"),
+            ReadFile(dir_ / "manifest.blot"));
+  EXPECT_EQ(ReadFile(again / "segments.dat"), ReadFile(dir_ / "segments.dat"));
+  fs::remove_all(again);
 }
 
-TEST_F(SegmentVersioningTest, HandWrittenVersion1ManifestLoadsAsLegacy) {
-  // Reconstruct the exact pre-zone-map on-disk shape: a version-1
-  // manifest (no per-partition format/zone fields) over legacy-format
-  // payloads, written by hand. Load must come back as kLegacy with no
-  // zones and answer queries identically to a fresh replica.
+TEST_F(SegmentVersioningTest, HandWrittenVersion1ManifestIsRejected) {
+  // The pre-zone-map on-disk shape, written by hand: a version-1 manifest
+  // (no per-partition format/zone fields). Its payloads were the retired
+  // monolithic wire format, which no reader decodes any more, so Load
+  // must refuse the directory as corrupt rather than misread it. The
+  // payloads here are the current encoding; the manifest alone decides.
   const Replica modern = BuildReplica();
-  const EncodingScheme scheme = modern.config().encoding;
+  WriteHandManifest(modern, /*version=*/1, /*format=*/std::nullopt);
+  EXPECT_THROW(SegmentStore::Load(dir_), CorruptData);
 
-  Bytes segments;
-  std::vector<std::uint64_t> offsets;
-  std::vector<Bytes> payloads;
-  for (std::size_t p = 0; p < modern.NumPartitions(); ++p) {
-    const std::vector<Record> records = modern.DecodePartitionRecords(p);
-    Bytes data = EncodePartition(records, scheme, LayoutFormat::kLegacy);
-    offsets.push_back(segments.size());
-    segments.insert(segments.end(), data.begin(), data.end());
-    payloads.push_back(std::move(data));
-  }
-  fs::create_directories(dir_);
-  WriteFile(dir_ / "segments.dat", segments);
+  // A version-2 manifest naming format byte 1 (the retired format) for
+  // its partitions is rejected the same way.
+  WriteHandManifest(modern, /*version=*/2, /*format=*/1);
+  EXPECT_THROW(SegmentStore::Load(dir_), CorruptData);
 
-  ByteWriter manifest;
-  manifest.PutU64(0x31474553544F4C42ull);  // "BLOTSEG1"
-  manifest.PutU32(1);                      // pre-zone-map version
-  manifest.PutString(scheme.Name());
-  manifest.PutU8(0);  // uniform policy
-  manifest.PutString(
-      SpatialMethodName(modern.config().partitioning.method));
-  manifest.PutVarint(modern.config().partitioning.spatial_partitions);
-  manifest.PutVarint(modern.config().partitioning.temporal_partitions);
-  PutRange(manifest, modern.universe());
-  manifest.PutVarint(modern.NumPartitions());
-  for (std::size_t p = 0; p < modern.NumPartitions(); ++p) {
-    PutRange(manifest, modern.index().Range(p));
-    manifest.PutVarint(modern.partition(p).num_records);
-    manifest.PutVarint(offsets[p]);
-    manifest.PutVarint(payloads[p].size());
-    manifest.PutU64(Fnv1a64(payloads[p]));
-    manifest.PutString(std::string(CodecKindName(modern.partition(p).codec)));
-    // Deliberately no format / zone fields: version 1 predates them.
-  }
-  manifest.PutU64(Fnv1a64(manifest.buffer()));
-  WriteFile(dir_ / "manifest.blot", manifest.buffer());
-
+  // The writer itself is sound: with format byte 2 the same hand-written
+  // manifest loads and answers like the replica it describes.
+  WriteHandManifest(modern, /*version=*/2, /*format=*/2);
   const Replica loaded = SegmentStore::Load(dir_);
-  for (std::size_t p = 0; p < loaded.NumPartitions(); ++p) {
-    EXPECT_EQ(loaded.partition(p).format, LayoutFormat::kLegacy);
-    EXPECT_FALSE(loaded.partition(p).has_zone);
-  }
-  // Legacy partitions answer queries (fused scan, no block pruning)
-  // identically to the modern replica.
-  const STRange query = STRange::FromCentroid(
-      {universe_.Width() / 3, universe_.Height() / 3,
-       universe_.Duration() / 3},
-      universe_.Centroid());
-  EXPECT_EQ(loaded.Execute(query).records, modern.Execute(query).records);
   EXPECT_EQ(loaded.Reconstruct(), modern.Reconstruct());
 }
 

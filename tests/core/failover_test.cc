@@ -33,18 +33,10 @@ TEST(HealthMapTest, StateMachineTransitions) {
   EXPECT_TRUE(health.AllOk(0));
   EXPECT_EQ(health.Get(0, 2), PartitionHealth::kOk);
 
-  // ok -> suspect -> ok (clean read clears suspicion).
-  EXPECT_EQ(health.MarkSuspect(0, 2), PartitionHealth::kSuspect);
+  // A read fault quarantines; re-quarantine reports no change.
+  EXPECT_TRUE(health.Quarantine(0, 1));
+  EXPECT_EQ(health.Get(0, 1), PartitionHealth::kQuarantined);
   EXPECT_FALSE(health.AllOk(0));
-  health.MarkOk(0, 2);
-  EXPECT_TRUE(health.AllOk(0));
-
-  // Two unattributed strikes escalate to quarantined.
-  EXPECT_EQ(health.MarkSuspect(0, 1), PartitionHealth::kSuspect);
-  EXPECT_EQ(health.MarkSuspect(0, 1), PartitionHealth::kQuarantined);
-
-  // Attributed faults quarantine directly; re-quarantine reports no
-  // change.
   EXPECT_TRUE(health.Quarantine(0, 3));
   EXPECT_FALSE(health.Quarantine(0, 3));
   EXPECT_EQ(health.QuarantinedCount(), 2u);
@@ -61,12 +53,10 @@ TEST(HealthMapTest, QueriesOverPartitionSets) {
   health.AddReplica(8);
   health.AddReplica(4);
   health.Quarantine(0, 5);
-  health.MarkSuspect(1, 0);
 
   EXPECT_TRUE(health.AnyQuarantined(0, {1, 5}));
   EXPECT_FALSE(health.AnyQuarantined(0, {1, 2}));
-  EXPECT_TRUE(health.AnySuspect(1, {0, 3}));
-  EXPECT_FALSE(health.AnySuspect(1, {2, 3}));
+  EXPECT_FALSE(health.AnyQuarantined(1, {0, 3}));
 
   const std::vector<HealthMap::Target> quarantined = health.Quarantined();
   ASSERT_EQ(quarantined.size(), 1u);
@@ -74,14 +64,14 @@ TEST(HealthMapTest, QueriesOverPartitionSets) {
   EXPECT_EQ(quarantined[0].partition, 5u);
 
   const HealthMap::Counts counts = health.CountsFor(1);
-  EXPECT_EQ(counts.ok, 3u);
-  EXPECT_EQ(counts.suspect, 1u);
+  EXPECT_EQ(counts.ok, 4u);
   EXPECT_EQ(counts.quarantined, 0u);
+  EXPECT_EQ(health.CountsFor(0).quarantined, 1u);
 }
 
 TEST(HealthMapTest, QuarantinedCountTracksEveryTransition) {
   // The lock-free total must equal the per-replica state counts after
-  // any mix of transitions, including escalation and reset.
+  // any mix of transitions, including repeats and reset.
   HealthMap health;
   health.AddReplica(16);
   health.AddReplica(8);
@@ -89,17 +79,13 @@ TEST(HealthMapTest, QuarantinedCountTracksEveryTransition) {
   for (int step = 0; step < 2000; ++step) {
     const std::size_t r = rng.NextUint64(2);
     const std::size_t p = rng.NextUint64(r == 0 ? 16 : 8);
-    switch (rng.NextUint64(7)) {
+    switch (rng.NextUint64(5)) {
       case 0:
       case 1:
         health.Quarantine(r, p);
         break;
       case 2:
       case 3:
-        health.MarkSuspect(r, p);
-        break;
-      case 4:
-      case 5:
         health.MarkOk(r, p);
         break;
       default:
@@ -108,6 +94,8 @@ TEST(HealthMapTest, QuarantinedCountTracksEveryTransition) {
     ASSERT_EQ(health.QuarantinedCount(), health.CountsFor(0).quarantined +
                                              health.CountsFor(1).quarantined)
         << "step " << step;
+    ASSERT_EQ(health.AllOk(r), health.CountsFor(r).quarantined == 0)
+        << "step " << step;
   }
 }
 
@@ -115,7 +103,7 @@ TEST(HealthMapTest, ResetReplicaReturnsEverythingToOk) {
   HealthMap health;
   health.AddReplica(4);
   health.Quarantine(0, 0);
-  health.MarkSuspect(0, 1);
+  health.Quarantine(0, 1);
   health.ResetReplica(0, 6);  // rebuild may change the partition count
   EXPECT_TRUE(health.AllOk(0));
   EXPECT_EQ(health.CountsFor(0).ok, 6u);
@@ -339,6 +327,59 @@ TEST_F(FailoverTest, BatchSharedScanFallsBackAndStaysCorrect) {
     EXPECT_EQ(Sorted(batch.per_query[q]),
               Sorted(dataset.FilterByRange(queries[q])))
         << "query " << q;
+}
+
+TEST_F(FailoverTest, BatchFaultQuarantinesOnlyTheFaultyPartition) {
+  // The paper's grid statistics (Section III-C1) as one batch: a 3x3
+  // grid of whole-month cells. A read fault in one storage unit must be
+  // attributed to that unit alone (Section II-E), not to every partition
+  // the failing group involves.
+  BlotStore store = MakeStore();
+  FailoverPolicy policy;
+  policy.repair = RepairMode::kNone;  // inspect the quarantine
+  store.SetFailoverPolicy(policy);
+  std::vector<STRange> queries;
+  for (int gx = 0; gx < 3; ++gx)
+    for (int gy = 0; gy < 3; ++gy)
+      queries.push_back(STRange::FromBounds(
+          universe.x_min() + universe.Width() * gx / 3,
+          universe.x_min() + universe.Width() * (gx + 1) / 3,
+          universe.y_min() + universe.Height() * gy / 3,
+          universe.y_min() + universe.Height() * (gy + 1) / 3,
+          universe.t_min(), universe.t_max()));
+
+  // Corrupt one partition the routed replica reads for the first cell.
+  const std::size_t victim = store.RouteQuery(queries[0], model);
+  std::size_t bad = store.replica(victim).NumPartitions();
+  for (const std::size_t p :
+       store.replica(victim).index().InvolvedPartitions(queries[0])) {
+    if (store.replica(victim).partition(p).num_records > 0 &&
+        !store.replica(victim).ZoneExcludes(p, queries[0])) {
+      bad = p;
+      break;
+    }
+  }
+  ASSERT_LT(bad, store.replica(victim).NumPartitions());
+  StoredPartition& unit = store.mutable_replica(victim).MutablePartition(bad);
+  unit.data[unit.data.size() / 2] ^= 0xFF;
+
+  for (int run = 0; run < 2; ++run) {
+    const BlotStore::RoutedBatchResult batch =
+        store.ExecuteBatch(queries, model);
+    ASSERT_EQ(batch.per_query.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+      EXPECT_EQ(Sorted(batch.per_query[q]),
+                Sorted(dataset.FilterByRange(queries[q])))
+          << "run " << run << " query " << q;
+  }
+  EXPECT_EQ(store.health().Get(victim, bad), PartitionHealth::kQuarantined);
+  EXPECT_EQ(store.health().QuarantinedCount(), 1u);
+  for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
+    const HealthMap::Counts counts = store.health().CountsFor(r);
+    EXPECT_EQ(counts.quarantined, r == victim ? 1u : 0u) << "replica " << r;
+    EXPECT_EQ(counts.ok + counts.quarantined,
+              store.replica(r).NumPartitions());
+  }
 }
 
 TEST_F(FailoverTest, MetricsAccountForEveryInjectedFault) {
