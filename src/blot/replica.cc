@@ -338,17 +338,11 @@ QueryResult Replica::Execute(const STRange& query,
       fault_messages[k] = e.what();
     }
   };
-  // `workers` is the number of concurrent scan tasks; each walks the
-  // involved list with stride `workers`, so the k-indexed merge below is
-  // deterministic regardless of scheduling.
-  std::size_t workers = involved.size();
-  if (options.max_parallelism > 0)
-    workers = std::min(workers, options.max_parallelism);
-  if (pool != nullptr && workers > 1) {
-    const std::size_t n = involved.size();
-    pool->ParallelFor(workers, [&](std::size_t w) {
-      for (std::size_t k = w; k < n; k += workers) scan_one(k);
-    });
+  // Each scan writes only its own k-indexed slots, so the merge below
+  // is deterministic regardless of scheduling.
+  const bool parallel = pool != nullptr && involved.size() > 1;
+  if (parallel) {
+    pool->ParallelFor(involved.size(), scan_one);
   } else {
     for (std::size_t k = 0; k < involved.size(); ++k) scan_one(k);
   }
@@ -418,7 +412,7 @@ QueryResult Replica::Execute(const STRange& query,
     profile->records_scanned += result.stats.records_scanned;
     profile->cache_hits += result.stats.cache_hits;
     profile->cache_misses += result.stats.cache_misses;
-    if (pool != nullptr && workers > 1) profile->parallel_scan = true;
+    if (parallel) profile->parallel_scan = true;
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   if (registry.enabled()) {

@@ -151,9 +151,6 @@ struct ScanOptions {
   ThreadPool* pool = nullptr;
   // Filled with scan sub-stages and counters when non-null.
   obs::QueryProfile* profile = nullptr;
-  // Cap on partitions scanned concurrently; 0 = one task per involved
-  // partition (the pool's width is the only limit).
-  std::size_t max_parallelism = 0;
   // Overrides the process-wide zone-map toggle
   // (simd::ZoneMapPruningEnabled) for this query when set.
   std::optional<bool> zone_map_pruning;

@@ -5,15 +5,13 @@
 // concurrent callers every piece of per-query state must be owned by
 // exactly one query. QueryContext is that owner: the profile the scan
 // kernels fill, the optional trace span, the attempt log the failover
-// loop appends to, and a deterministic per-query RNG — everything that
-// belongs to one query and nothing that is shared. The shared structures
-// (HealthMap, PartitionCache, metrics registry, drift monitors) are
-// internally synchronized; a context is not, because it never crosses
-// queries.
+// loop appends to — everything that belongs to one query and nothing
+// that is shared. The shared structures (HealthMap, PartitionCache,
+// metrics registry, drift monitors) are internally synchronized; a
+// context is not, because it never crosses queries.
 //
 // Contexts are cheap to construct on the query path: the profile is a
-// flat struct and the RNG seeds from the query id, so no global RNG is
-// contended. The store's coordinator (routing, failover, hedging,
+// flat struct. The store's coordinator (routing, failover, hedging,
 // deadline and partial answers) writes into the context on the calling
 // thread only — racing attempts fill their own outcomes and the
 // coordinator folds them in — and BlotStore::Execute moves its pieces
@@ -30,7 +28,6 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
-#include "util/rng.h"
 
 namespace blot {
 
@@ -50,9 +47,8 @@ struct QueryAttempt {
 class QueryContext {
  public:
   // Builds a context for a fresh query: assigns a process-unique query
-  // id, derives the per-query RNG from it (deterministic across runs for
-  // the same arrival order), and latches whether profiling is on so the
-  // execution path checks one bool instead of re-probing the registry.
+  // id and latches whether profiling is on so the execution path checks
+  // one bool instead of re-probing the registry.
   static QueryContext ForQuery(obs::TraceSpan* trace) {
     static std::atomic<std::uint64_t> next_id{1};
     QueryContext ctx(next_id.fetch_add(1, std::memory_order_relaxed));
@@ -71,17 +67,9 @@ class QueryContext {
   obs::TraceSpan* trace = nullptr;
   // One entry per attempt, in launch order.
   std::vector<QueryAttempt> attempts;
-  // Deterministic per-query randomness (event sampling, jitter). Seeded
-  // from the query id, so two runs issuing the same queries in the same
-  // order draw the same values.
-  Rng rng{0};
   // MetricsRegistry::global().enabled() || trace != nullptr, latched at
   // construction.
   bool profiling = false;
-  // Cap on partitions scanned concurrently for this query
-  // (ScanOptions::max_parallelism); 0 = no cap beyond the pool's width.
-  // Snapshotted from the store's setting when the query starts.
-  std::size_t max_scan_parallelism = 0;
   // Cooperative cancellation for this query: carries the deadline (when
   // one is set) and is polled at attempt, partition, and block
   // boundaries. Invalid (inert) when the caller set no deadline, so
@@ -100,7 +88,7 @@ class QueryContext {
   double hedge_ms = 0.0;
 
  private:
-  explicit QueryContext(std::uint64_t id) : rng(id), query_id_(id) {}
+  explicit QueryContext(std::uint64_t id) : query_id_(id) {}
 
   std::uint64_t query_id_ = 0;
 };

@@ -17,6 +17,7 @@
 #include "core/partition_cache.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/bytes.h"
 #include "util/error.h"
 
@@ -24,14 +25,15 @@ namespace blot {
 namespace {
 
 // Estimate-vs-actual cost error is unbounded above (the estimate models a
-// cluster environment, the measurement is this process), so the error
-// histogram gets wide percentage buckets instead of latency buckets.
+// cluster environment, the measurement is this process; relative to the
+// measurement it reaches 1e7 % and more), so the error histogram gets
+// wide percentage buckets instead of latency buckets.
 obs::Histogram& CostErrorHistogram() {
   static obs::Histogram& histogram =
       obs::MetricsRegistry::global().GetHistogram(
           "query.cost_error_pct", {},
           {1, 2, 5, 10, 25, 50, 75, 90, 100, 250, 500, 1000, 10000,
-           100000, 1000000});
+           100000, 1000000, 10000000, 100000000});
   return histogram;
 }
 
@@ -73,10 +75,9 @@ void RecordRoutedQuery(const BlotStore::RoutedResult& routed) {
       .Increment();
   estimated_ms.Observe(routed.estimated_cost_ms);
   measured_ms.Observe(routed.measured_cost_ms);
-  if (routed.estimated_cost_ms > 0)
-    CostErrorHistogram().Observe(
-        std::abs(routed.measured_cost_ms - routed.estimated_cost_ms) /
-        routed.estimated_cost_ms * 100.0);
+  if (routed.measured_cost_ms > 0)
+    CostErrorHistogram().Observe(std::abs(obs::SignedCostErrorPct(
+        routed.estimated_cost_ms, routed.measured_cost_ms)));
   np_predicted.Increment(routed.predicted_partitions);
   partitions_scanned.Increment(routed.result.stats.partitions_scanned);
   records_scanned.Increment(routed.result.stats.records_scanned);
@@ -187,7 +188,6 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   replicas_ = std::move(other.replicas_);
   sketches_ = std::move(other.sketches_);
   policy_ = other.policy_;
-  max_scan_parallelism_ = other.max_scan_parallelism_;
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
   sync_ = std::move(other.sync_);
@@ -203,16 +203,6 @@ FailoverPolicy BlotStore::failover_policy() const {
 void BlotStore::SetFailoverPolicy(const FailoverPolicy& policy) {
   std::unique_lock lock(sync_->state_mutex);
   policy_ = policy;
-}
-
-std::size_t BlotStore::max_scan_parallelism() const {
-  std::shared_lock lock(sync_->state_mutex);
-  return max_scan_parallelism_;
-}
-
-void BlotStore::SetMaxScanParallelism(std::size_t cap) {
-  std::unique_lock lock(sync_->state_mutex);
-  max_scan_parallelism_ = cap;
 }
 
 void BlotStore::SyncState::BeginBackground() {
@@ -355,16 +345,21 @@ QueryFailedError BlotStore::UnservableError(const STRange& query) const {
   return QueryFailedError(what, std::move(lost));
 }
 
-BlotStore::RoutingDecision BlotStore::RouteQueryDetailed(
+BlotStore::RoutingDecision BlotStore::BestCandidate(
     const STRange& query, const CostModel& model) const {
-  require(!replicas_.empty(), "BlotStore::RouteQuery: no replicas");
-  std::shared_lock lock(sync_->state_mutex);
   const Ranking ranking = RankCandidates(query, model);
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
   if (ranking.ranked.empty()) throw UnservableError(query);
   return ranking.ranked.front();
+}
+
+BlotStore::RoutingDecision BlotStore::RouteQueryDetailed(
+    const STRange& query, const CostModel& model) const {
+  require(!replicas_.empty(), "BlotStore::RouteQuery: no replicas");
+  std::shared_lock lock(sync_->state_mutex);
+  return BestCandidate(query, model);
 }
 
 std::size_t BlotStore::RouteQuery(const STRange& query,
@@ -424,7 +419,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   {
     std::shared_lock lock(sync_->state_mutex);
     policy = policy_;
-    ctx.max_scan_parallelism = max_scan_parallelism_;
     ranking = RankCandidates(query, model);
     for (const Replica& rep : replicas_) names.push_back(rep.config().Name());
   }
@@ -476,7 +470,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
       ctx.hedge_ms > 0.0 && ranked.size() >= 2 && max_attempts >= 2;
   ScanOptions scan;
   scan.pool = pool;
-  scan.max_parallelism = ctx.max_scan_parallelism;
 
   // Runs inline when no hedge can fire. Otherwise the attempt is a task
   // on the store's executor under a child token, which observes the
@@ -841,12 +834,11 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
   if (policy.repair == RepairMode::kNone) return;
   if (health_->QuarantinedCount() == 0) return;
   if (policy.repair == RepairMode::kSync || pool == nullptr) {
-    RepairQuarantined(pool, policy.repair_budget);
+    RepairQuarantined(pool);
     return;
   }
-  const std::size_t budget = policy.repair_budget;
   sync_->BeginBackground();
-  pool->Submit([this, budget] {
+  pool->Submit([this] {
     // try_to_lock: a repair task blocking on a query that is itself
     // waiting for pool workers would deadlock the pool; if the store is
     // busy the partitions stay quarantined and the next query
@@ -855,7 +847,7 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
       std::unique_lock lock(sync_->state_mutex, std::try_to_lock);
       if (lock.owns_lock()) {
         try {
-          RepairQuarantinedLocked(nullptr, budget);
+          RepairQuarantinedLocked(nullptr);
         } catch (...) {
           // A background task must never take the store down; repair
           // failures are already counted in repair.failed_total.
@@ -866,26 +858,21 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
   });
 }
 
-std::size_t BlotStore::RepairQuarantined(ThreadPool* pool,
-                                         std::size_t budget) {
+std::size_t BlotStore::RepairQuarantined(ThreadPool* pool) {
   std::unique_lock lock(sync_->state_mutex);
-  return RepairQuarantinedLocked(pool, budget);
+  return RepairQuarantinedLocked(pool);
 }
 
-std::size_t BlotStore::RepairQuarantinedLocked(ThreadPool* pool,
-                                               std::size_t budget) {
+std::size_t BlotStore::RepairQuarantinedLocked(ThreadPool* pool) {
   auto& registry = obs::MetricsRegistry::global();
   const std::vector<HealthMap::Target> targets = health_->Quarantined();
-  std::size_t attempted = 0;
   std::size_t repaired = 0;
   for (const HealthMap::Target& target : targets) {
-    if (budget != 0 && attempted >= budget) break;
     // A full rebuild triggered by an earlier target may have already
     // healed this one.
     if (health_->Get(target.replica, target.partition) !=
         PartitionHealth::kQuarantined)
       continue;
-    ++attempted;
     try {
       RecoverPartitionLocked(target.replica, target.partition, std::nullopt,
                              pool);
@@ -1068,12 +1055,8 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     // replaces the ordered map (allocator churn on large batches).
     std::vector<std::vector<std::size_t>> groups(replicas_.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      const Ranking ranking = RankCandidates(queries[q], model);
-      require(ranking.covering > 0,
-              "BlotStore::RouteQuery: no replica can serve the query (add "
-              "a full replica)");
-      if (ranking.ranked.empty()) throw UnservableError(queries[q]);
-      const std::size_t replica = ranking.ranked.front().replica_index;
+      const std::size_t replica =
+          BestCandidate(queries[q], model).replica_index;
       result.replica_of[q] = replica;
       groups[replica].push_back(q);
     }

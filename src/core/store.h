@@ -102,8 +102,6 @@ struct FailoverPolicy {
   // Maximum replicas tried per query (including the first).
   std::size_t max_attempts = 4;
   RepairMode repair = RepairMode::kSync;
-  // Partitions repaired per sweep; 0 means every quarantined partition.
-  std::size_t repair_budget = 0;
 };
 
 class BlotStore {
@@ -155,13 +153,6 @@ class BlotStore {
   // a consistent snapshot taken when it starts).
   FailoverPolicy failover_policy() const;
   void SetFailoverPolicy(const FailoverPolicy& policy);
-
-  // Cap on partitions one query scans concurrently (Replica::ScanOptions
-  // ::max_parallelism); 0 = no cap beyond the pool's width. Lets a
-  // deployment bound per-query fan-out so one broad query cannot occupy
-  // the whole scan pool. Synchronizes like the failover policy.
-  std::size_t max_scan_parallelism() const;
-  void SetMaxScanParallelism(std::size_t cap);
 
   // The per-replica, per-partition health map driving routing and repair.
   const HealthMap& health() const { return *health_; }
@@ -329,12 +320,11 @@ class BlotStore {
                                  std::optional<std::size_t> source = std::nullopt,
                                  ThreadPool* pool = nullptr);
 
-  // Repairs up to `budget` quarantined partitions (0 = all), feeding the
-  // repair.* metrics. Returns the number of partitions repaired (a full
-  // rebuild counts all partitions of the rebuilt replica as repaired).
-  // Partitions whose repair fails stay quarantined.
-  std::size_t RepairQuarantined(ThreadPool* pool = nullptr,
-                                std::size_t budget = 0);
+  // Repairs every quarantined partition, feeding the repair.* metrics.
+  // Returns the number of partitions repaired (a full rebuild counts all
+  // partitions of the rebuilt replica as repaired). Partitions whose
+  // repair fails stay quarantined.
+  std::size_t RepairQuarantined(ThreadPool* pool = nullptr);
 
   // Blocks until the store's background work is reaped: kBackground
   // repairs and cancelled hedge attempts still running after their query
@@ -378,6 +368,11 @@ class BlotStore {
 
   // Health-aware candidate ranking; no locking (callers hold state_mutex).
   Ranking RankCandidates(const STRange& query, const CostModel& model) const;
+  // The best healthy candidate for `query`: throws InvalidArgument when
+  // no replica covers it and QueryFailedError when every covering one is
+  // quarantined for it. No locking (callers hold state_mutex).
+  RoutingDecision BestCandidate(const STRange& query,
+                                const CostModel& model) const;
   // Builds the QueryFailedError for `query` from the current health map;
   // no locking (callers hold state_mutex).
   QueryFailedError UnservableError(const STRange& query) const;
@@ -413,7 +408,7 @@ class BlotStore {
                                        std::size_t partition,
                                        std::optional<std::size_t> source,
                                        ThreadPool* pool);
-  std::size_t RepairQuarantinedLocked(ThreadPool* pool, std::size_t budget);
+  std::size_t RepairQuarantinedLocked(ThreadPool* pool);
 
   // Continuous-telemetry state, boxed so BlotStore stays movable.
   struct Telemetry {
@@ -426,7 +421,6 @@ class BlotStore {
   std::vector<Replica> replicas_;
   std::vector<ReplicaSketch> sketches_;
   FailoverPolicy policy_;  // guarded by sync_->state_mutex
-  std::size_t max_scan_parallelism_ = 0;  // guarded by sync_->state_mutex
   std::unique_ptr<HealthMap> health_ = std::make_unique<HealthMap>();
   std::unique_ptr<LatencyMap> latency_ = std::make_unique<LatencyMap>();
   std::unique_ptr<SyncState> sync_ = std::make_unique<SyncState>();

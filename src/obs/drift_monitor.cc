@@ -39,11 +39,8 @@ CostDriftMonitor::ReplicaStats CostDriftMonitor::ComputeStats(
 
 void CostDriftMonitor::Observe(const QueryProfile& profile) {
   if (profile.measured_cost_ms <= 0.0) return;
-  // Signed error: positive means the model underestimated (execution
-  // was more expensive than predicted).
-  const double signed_error_pct =
-      (profile.measured_cost_ms - profile.estimated_cost_ms) /
-      profile.measured_cost_ms * 100.0;
+  const double signed_error_pct = SignedCostErrorPct(
+      profile.estimated_cost_ms, profile.measured_cost_ms);
 
   ReplicaStats stats;
   bool fired_alert = false, fired_clear = false;

@@ -106,10 +106,6 @@ bool EventLog::has_sink() const {
   return sink_ != nullptr;
 }
 
-void EventLog::set_sample_every(std::uint32_t n) {
-  sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-}
-
 EventLog::Shard& EventLog::ShardForThisThread() {
   const std::size_t h =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
@@ -140,22 +136,6 @@ void EventLog::Emit(EventSeverity severity, std::string_view category,
 
   Shard& shard = ShardForThisThread();
   std::lock_guard lock(shard.mutex);
-
-  // Sampling: kDebug/kInfo events pass one-in-n per (shard, category).
-  // Sharding makes the count approximate, which is fine for a rate knob.
-  const std::uint32_t every = sample_every();
-  if (every > 1 && severity <= EventSeverity::kInfo) {
-    std::uint64_t* count = nullptr;
-    for (auto& [cat, n] : shard.category_counts)
-      if (cat == event.category) { count = &n; break; }
-    if (count == nullptr)
-      count = &shard.category_counts.emplace_back(event.category, 0).second;
-    if ((*count)++ % every != 0) {
-      sampled_out_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   emitted_.fetch_add(1, std::memory_order_relaxed);
 
@@ -192,11 +172,9 @@ void EventLog::ResetForTest() {
     std::lock_guard lock(shard.mutex);
     DrainLocked(shard);
     shard.recent.clear();
-    shard.category_counts.clear();
   }
   next_seq_.store(1, std::memory_order_relaxed);
   emitted_.store(0, std::memory_order_relaxed);
-  sampled_out_.store(0, std::memory_order_relaxed);
 }
 
 std::pair<std::string, std::string> Field(std::string key,

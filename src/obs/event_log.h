@@ -82,16 +82,7 @@ class EventLog {
   void CloseSink();
   bool has_sink() const;
 
-  // Sampling knob for high-frequency low-severity noise: only one in
-  // `n` kDebug/kInfo events per category is kept (kWarn/kError always
-  // pass). 1 (the default) keeps everything.
-  void set_sample_every(std::uint32_t n);
-  std::uint32_t sample_every() const {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-
-  // Emits one event. No-op (beyond the enabled() load) when disabled;
-  // may drop kDebug/kInfo events per the sampling knob.
+  // Emits one event. No-op (beyond the enabled() load) when disabled.
   void Emit(EventSeverity severity, std::string_view category,
             std::string_view message, EventFields fields = {});
 
@@ -108,16 +99,13 @@ class EventLog {
   // Drains every shard buffer to the sink and flushes it.
   void Flush();
 
-  // The most recent `max` events (any severity, post-sampling), oldest
-  // first — for tests and in-process tooling. Capacity is bounded
-  // (kRecentCapacity per shard); older events are only in the sink.
+  // The most recent `max` events (any severity), oldest first — for
+  // tests and in-process tooling. Capacity is bounded (kRecentCapacity
+  // per shard); older events are only in the sink.
   std::vector<Event> Recent(std::size_t max = 64) const;
 
   std::uint64_t emitted() const {
     return emitted_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sampled_out() const {
-    return sampled_out_.load(std::memory_order_relaxed);
   }
 
   // Resets counters, the sequence number and the in-memory ring (the
@@ -133,8 +121,6 @@ class EventLog {
     std::mutex mutex;
     std::string pending;        // formatted JSONL lines awaiting the sink
     std::deque<Event> recent;   // bounded ring for Recent()
-    // Per-category counters driving the sampling knob.
-    std::vector<std::pair<std::string, std::uint64_t>> category_counts;
   };
 
   Shard& ShardForThisThread();
@@ -143,10 +129,8 @@ class EventLog {
   void DrainLocked(Shard& shard);
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint32_t> sample_every_{1};
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> emitted_{0};
-  std::atomic<std::uint64_t> sampled_out_{0};
 
   mutable std::mutex sink_mutex_;
   void* sink_ = nullptr;  // std::FILE*, kept opaque in the header

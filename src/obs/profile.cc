@@ -45,10 +45,13 @@ void QueryProfile::MergeScanFrom(const QueryProfile& other) {
   parallel_scan = parallel_scan || other.parallel_scan;
 }
 
+double SignedCostErrorPct(double estimated_ms, double measured_ms) {
+  if (measured_ms <= 0.0) return 0.0;
+  return (measured_ms - estimated_ms) / measured_ms * 100.0;
+}
+
 double QueryProfile::CostErrorPct() const {
-  if (measured_cost_ms <= 0.0) return 0.0;
-  return std::abs(measured_cost_ms - estimated_cost_ms) /
-         measured_cost_ms * 100.0;
+  return std::abs(SignedCostErrorPct(estimated_cost_ms, measured_cost_ms));
 }
 
 std::string QueryProfile::ToJson() const {

@@ -55,6 +55,12 @@ inline constexpr std::size_t kStageCount = 10;
 // query.stage_ms{stage=...} histograms and every exporter.
 std::string_view StageName(Stage stage);
 
+// The cost model's error on one query: (measured - estimated) /
+// measured * 100, positive when the model underestimated; 0 when
+// unmeasured. The one definition behind QueryProfile::CostErrorPct, the
+// query.cost_error_pct histogram and the cost-drift windows.
+double SignedCostErrorPct(double estimated_ms, double measured_ms);
+
 struct QueryProfile {
   // Wall milliseconds and bytes handled per stage, indexed by Stage.
   // `bytes` means: bytes read from encoded partitions for kDecode,
@@ -104,7 +110,7 @@ struct QueryProfile {
   // concurrently.
   void MergeScanFrom(const QueryProfile& other);
 
-  // |measured - estimated| / measured * 100, 0 when unmeasured.
+  // |SignedCostErrorPct(estimated, measured)|.
   double CostErrorPct() const;
 
   // One JSON object (single line, no trailing newline).

@@ -11,6 +11,10 @@
 namespace blot::serve {
 namespace {
 
+// Smoothing factor of the service-latency EWMA behind retry-after
+// hints; higher weighs recent queries more.
+constexpr double kLatencyEwmaAlpha = 0.2;
+
 struct ServeMetrics {
   obs::Counter& admitted;
   obs::Counter& shed;
@@ -49,13 +53,6 @@ QueryServer::QueryServer(BlotStore& store, CostModel model,
           "QueryServer: need at least one request worker");
   require(options_.max_inflight >= 1,
           "QueryServer: max_inflight must be at least 1");
-  require(options_.latency_ewma_alpha > 0.0 &&
-              options_.latency_ewma_alpha <= 1.0,
-          "QueryServer: latency_ewma_alpha must be in (0, 1]");
-  if (options_.scan_threads > 0)
-    scan_pool_ = std::make_unique<ThreadPool>(options_.scan_threads, "scan");
-  if (options_.max_scan_parallelism > 0)
-    store_.SetMaxScanParallelism(options_.max_scan_parallelism);
   request_pool_ =
       std::make_unique<ThreadPool>(options_.worker_threads, "request");
 }
@@ -152,7 +149,6 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
     auto& metrics = ServeMetrics::Get();
     try {
       BlotStore::ExecOptions exec;
-      exec.pool = scan_pool_.get();
       exec.allow_partial = options_.allow_partial;
       exec.hedge_ms = options_.hedge_ms;
       if (effective_deadline > 0.0) {
@@ -223,7 +219,7 @@ void QueryServer::FinishQuery(std::uint64_t bytes, double latency_ms,
     const double prev = latency_ewma_ms_.load(std::memory_order_relaxed);
     const double next =
         prev == 0.0 ? latency_ms
-                    : prev + options_.latency_ewma_alpha * (latency_ms - prev);
+                    : prev + kLatencyEwmaAlpha * (latency_ms - prev);
     latency_ewma_ms_.store(next, std::memory_order_relaxed);
     notify = draining_ && inflight_ == 0;
   }

@@ -3,18 +3,9 @@
 //
 // The paper's cost model assumes queries are served *continuously*
 // against the diverse replica set; QueryServer is the always-on front
-// end that makes that true. It separates the two kinds of parallelism
-// the engine offers:
-//
-//   - request parallelism: N whole queries in flight at once, each
-//     running BlotStore::Execute on a worker of the request pool;
-//   - scan parallelism: one query fanning its involved partitions
-//     across a *separate* scan pool.
-//
-// The split is what makes the system deadlock-free: a request worker
-// may block waiting for scan workers, but never for other request
-// workers, and scan workers never block on anything
-// (util/thread_pool.h's no-nested-blocking contract).
+// end that makes that true. It runs N whole queries at once, each as
+// one BlotStore::Execute on a worker of its request pool; every query
+// scans its involved partitions on that worker.
 //
 // Admission control bounds what the server accepts rather than letting
 // the queue grow without limit: a query is admitted only while both the
@@ -77,13 +68,6 @@ class OverloadedError : public Error {
 struct ServerOptions {
   // Request pool size: queries executing (or queued) concurrently.
   std::size_t worker_threads = 4;
-  // Scan pool size for intra-query partition parallelism; 0 disables
-  // the second pool (each query scans single-threaded).
-  std::size_t scan_threads = 0;
-  // Cap on partitions one query scans concurrently on the scan pool
-  // (BlotStore::SetMaxScanParallelism); 0 = no per-query cap. Keeps one
-  // broad query from monopolizing the shared scan pool.
-  std::size_t max_scan_parallelism = 0;
   // Admission ceiling on in-flight queries (admitted, not finished).
   // Must be >= 1.
   std::size_t max_inflight = 64;
@@ -99,9 +83,6 @@ struct ServerOptions {
   // what makes closed-loop throughput scaling with worker_threads
   // machine-independent (docs/serving.md). 0 disables.
   double simulate_io_ms = 0.0;
-  // Smoothing factor of the service-latency EWMA behind retry-after
-  // hints, in (0, 1]; higher weighs recent queries more.
-  double latency_ewma_alpha = 0.2;
   // Default per-query deadline in ms, measured from *admission* (queue
   // wait counts against the budget — a query that waited out its whole
   // deadline in the queue fails fast without executing). 0 = none. A
@@ -187,10 +168,6 @@ class QueryServer {
   const CostModel model_;
   const ServerOptions options_;
   const std::uint64_t total_storage_bytes_;
-
-  // Scan pool first: request workers reference it, so it must outlive
-  // them during destruction.
-  std::unique_ptr<ThreadPool> scan_pool_;
   std::unique_ptr<ThreadPool> request_pool_;
 
   mutable std::mutex admission_mutex_;

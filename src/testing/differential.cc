@@ -419,9 +419,6 @@ struct Iteration {
               EngineGuard engine_guard(engine);
               ScanOptions scan;
               scan.pool = parallel ? &ScanPool() : nullptr;
-              // A tiny cap exercises the strided fan-out, not just the
-              // one-task-per-partition path.
-              scan.max_parallelism = parallel ? 2 : 0;
               scan.zone_map_pruning = pruned;
               return replica.Execute(query, scan).records;
             });

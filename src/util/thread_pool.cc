@@ -82,8 +82,7 @@ void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   // The no-nested-blocking contract: waiting for this pool's workers
   // *from* one of this pool's workers deadlocks once every worker does
-  // it. The serving layer's two-pool split exists so cross-pool waits
-  // (request worker -> scan pool) are the only blocking waits.
+  // it. Only cross-pool waits are safe.
   assert(!InWorkerThread() &&
          "ThreadPool::ParallelFor called from a worker of the same pool "
          "(no-nested-blocking contract; use a separate pool)");

@@ -5,18 +5,17 @@
 // partitions ("it is straightforward to conduct parallel query processing
 // by scanning multiple partitions simultaneously", Section II-D). The
 // executor uses this pool to decode and filter partitions concurrently;
-// the serving layer (src/serve) uses a second pool of the same type to
-// run whole queries concurrently.
+// the serving layer (src/serve) uses one pool of the same type to run
+// whole queries concurrently.
 //
 // ## The no-nested-blocking contract
 //
 // A task running on a pool worker MUST NOT submit work to the *same*
 // pool and block on its completion: with all workers busy doing exactly
-// that, nobody is left to drain the queue and the pool deadlocks. This
-// is why the serving layer splits *request* parallelism (one pool
-// running whole queries) from *scan* parallelism (a second pool fanning
-// one query's partitions): a query task on the request pool may block on
-// ParallelFor of the scan pool, never of its own.
+// that, nobody is left to drain the queue and the pool deadlocks. A task
+// may block on ParallelFor of a *different* pool, never of its own; the
+// serving layer's request workers submit nothing to their own pool and
+// scan each query serially.
 //
 // The contract is enforced where the pool can see the blocking:
 // ParallelFor asserts (debug builds) that the calling thread is not a

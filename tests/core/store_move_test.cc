@@ -75,17 +75,6 @@ TEST(StoreMoveTest, MoveAssignmentDrainsBothSides) {
   EXPECT_EQ(Sorted(routed.result.records), Sorted(oracle.RangeQuery(query)));
 }
 
-TEST(StoreMoveTest, MovesKeepTheScanParallelismCap) {
-  const TaxiFixture fleet;
-  BlotStore store = MakeStandardStore(fleet.dataset, fleet.universe);
-  store.SetMaxScanParallelism(3);
-  BlotStore moved = std::move(store);
-  EXPECT_EQ(moved.max_scan_parallelism(), 3u);
-  BlotStore assigned = MakeStandardStore(fleet.dataset, fleet.universe);
-  assigned = std::move(moved);
-  EXPECT_EQ(assigned.max_scan_parallelism(), 3u);
-}
-
 TEST(StoreMoveTest, MovedFromStoreDestructsSafely) {
   const TaxiFixture fleet;
   BlotStore store = MakeStandardStore(fleet.dataset, fleet.universe);

@@ -81,22 +81,6 @@ TEST(EventLogTest, EventJsonIsParseableAndEscaped) {
   EXPECT_GT(parsed.At("wall_ms").AsUint64(), 0u);
 }
 
-TEST(EventLogTest, SamplingKeepsOneInNPerCategoryButAllWarnings) {
-  EventLog log;
-  log.set_enabled(true);
-  log.set_sample_every(4);
-  // All emissions from this (single) thread land in one shard, so the
-  // per-category counter is deterministic: 8 infos keep 2.
-  for (int i = 0; i < 8; ++i) log.Info("noisy", "info");
-  for (int i = 0; i < 3; ++i) log.Warn("noisy", "warn");
-  std::size_t infos = 0, warns = 0;
-  for (const Event& e : log.Recent(64))
-    (e.severity == EventSeverity::kWarn ? warns : infos)++;
-  EXPECT_EQ(infos, 2u);
-  EXPECT_EQ(warns, 3u);
-  EXPECT_EQ(log.sampled_out(), 6u);
-}
-
 TEST(EventLogTest, SinkReceivesJsonlOnFlushAndClose) {
   const std::string path = TempPath("event_log_test_sink.jsonl");
   std::remove(path.c_str());

@@ -103,6 +103,8 @@ TEST_F(RoutingObsTest, TracedQueryRecordsEstimatedAndMeasuredCost) {
       snap.FindHistogram("query.cost_error_pct");
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->count, 1u);
+  // The histogram records the same error the profile reports.
+  EXPECT_DOUBLE_EQ(error->sum, routed.profile.CostErrorPct());
 }
 
 TEST_F(RoutingObsTest, UntracedQueryStillRoutesAndMeasures) {

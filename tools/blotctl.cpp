@@ -61,7 +61,6 @@ int Usage() {
       "  store-build --data FILE --out DIR [--schemes A;B;...]\n"
       "  store-query --dir DIR --range x0,x1,y0,y1,t0,t1 [--env s3|hadoop]\n"
       "             [--trace] [--profile] [--cache-mb N]\n"
-      "             [--scan-parallelism N]\n"
       "             [--concurrency N] [--repeat K]\n"
       "             [--deadline-ms D] [--allow-partial] [--hedge-ms H]\n"
       "  advise     --data FILE [--records N] [--budget-gb G]\n"
@@ -449,10 +448,6 @@ int CmdStoreQuery(const Flags& flags) {
           "--trace requires --concurrency 1 --repeat 1");
   // Non-const: Execute may quarantine and self-heal faulty partitions.
   BlotStore store = BlotStore::Load(flags.GetString("dir"));
-  // --scan-parallelism N caps how many partitions one query scans
-  // concurrently (0 = uncapped); results are identical either way.
-  store.SetMaxScanParallelism(
-      static_cast<std::size_t>(flags.GetInt("scan-parallelism", 0)));
   const STRange range = ParseRange(flags.GetString("range"));
   const std::string env_name = flags.GetString("env", "hadoop");
   const CostModel model{env_name == "s3" ? EnvironmentModel::AmazonS3Emr()
@@ -739,8 +734,8 @@ int Run(int argc, char** argv) {
     return CmdStoreQuery({argc, argv, 2,
                           {"dir", "range", "env", "metrics-out",
                            "cache-mb", "inject-faults", "event-log",
-                           "concurrency", "repeat", "scan-parallelism",
-                           "deadline-ms", "hedge-ms"},
+                           "concurrency", "repeat", "deadline-ms",
+                           "hedge-ms"},
                           {"trace", "profile", "allow-partial"}});
   if (command == "advise")
     return CmdAdvise({argc, argv, 2,
