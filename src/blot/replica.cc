@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -278,8 +279,7 @@ QueryResult Replica::Execute(const STRange& query,
                              const ScanOptions& options) const {
   ThreadPool* pool = options.pool;
   obs::QueryProfile* profile = options.profile;
-  const bool prune =
-      options.zone_map_pruning.value_or(simd::ZoneMapPruningEnabled());
+  const bool prune = simd::ZoneMapPruningEnabled();
   // Partition-level zone skip: the stored zone is the exact bounding
   // cuboid over the partition's records, tighter than the partitioning
   // cell the index tested, so a partition can survive the index and

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,9 +150,6 @@ struct ScanOptions {
   ThreadPool* pool = nullptr;
   // Filled with scan sub-stages and counters when non-null.
   obs::QueryProfile* profile = nullptr;
-  // Overrides the process-wide zone-map toggle
-  // (simd::ZoneMapPruningEnabled) for this query when set.
-  std::optional<bool> zone_map_pruning;
   // Cooperative cancellation, polled before each partition scan and at
   // every block boundary inside it (so a parallel scan stops within one
   // block per worker). A partition whose scan was interrupted counts

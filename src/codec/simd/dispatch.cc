@@ -58,7 +58,7 @@ std::atomic<std::uint8_t>& ActiveEngineSlot() {
 }
 
 std::atomic<bool>& ZoneMapSlot() {
-  static std::atomic<bool> slot{!EnvFlagSet("BLOT_DISABLE_ZONE_MAPS")};
+  static std::atomic<bool> slot{true};
   return slot;
 }
 

@@ -16,8 +16,8 @@
 //
 // Zone-map block pruning has its own process-wide switch here (it is a
 // scan-engine concern: the blocked layout consults it before decode).
-// BLOT_DISABLE_ZONE_MAPS=1 turns it off at startup; per-query overrides
-// go through Replica::ScanOptions instead.
+// It is the only switch: every scan path, the store's routed queries
+// included, reads it at scan start.
 #ifndef BLOT_CODEC_SIMD_DISPATCH_H_
 #define BLOT_CODEC_SIMD_DISPATCH_H_
 
@@ -47,9 +47,9 @@ ScanEngine ActiveScanEngine();
 // engine actually installed). Tests use this to force the scalar path.
 ScanEngine SetScanEngine(ScanEngine engine);
 
-// Process-wide default for zone-map block pruning; per-query overrides
-// are threaded through the scan options. Defaults to on unless
-// BLOT_DISABLE_ZONE_MAPS=1 is set at startup.
+// Process-wide zone-map pruning (partition zone skips and block
+// pruning). Defaults to on; tests and the differential harness turn it
+// off to check that pruning never changes an answer.
 bool ZoneMapPruningEnabled();
 void SetZoneMapPruning(bool enabled);
 

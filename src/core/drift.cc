@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace blot {
@@ -104,54 +102,6 @@ bool DriftMonitor::HasDrifted(const Workload& current) const {
 void DriftMonitor::Rebase(Workload reference) {
   require(!reference.empty(), "DriftMonitor::Rebase: empty workload");
   reference_ = std::move(reference);
-}
-
-void WorkloadDriftWatch::Observe(const RangeSize& size) {
-  std::lock_guard lock(mutex_);
-  workload_.Observe(size);
-  const std::size_t n = workload_.observations();
-  if (!drift_.has_value()) {
-    if (n >= kWarmup) drift_.emplace(workload_.Snapshot());
-    return;
-  }
-  if (n % kCheckInterval != 0) return;
-  const Workload current = workload_.Snapshot();
-  const double distance = drift_->DistanceTo(current);
-  auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled())
-    registry.GetGauge("drift.workload_distance").Set(distance);
-  const bool drifted = drift_->HasDrifted(current);
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled()) {
-    if (drifted && !alerting_) {
-      log.Warn("workload_drift.alert",
-               "live workload drifted from the selection reference",
-               {obs::Field("distance", distance),
-                obs::Field("observations", n)});
-    } else if (!drifted && alerting_) {
-      log.Info("workload_drift.clear",
-               "live workload back near the selection reference",
-               {obs::Field("distance", distance),
-                obs::Field("observations", n)});
-    }
-  }
-  alerting_ = drifted;
-}
-
-double WorkloadDriftWatch::Distance() const {
-  std::lock_guard lock(mutex_);
-  if (!drift_.has_value() || workload_.observations() == 0) return 0.0;
-  return drift_->DistanceTo(workload_.Snapshot());
-}
-
-void WorkloadDriftWatch::Rebase() {
-  std::lock_guard lock(mutex_);
-  alerting_ = false;
-  if (workload_.observations() == 0) {
-    drift_.reset();
-    return;
-  }
-  drift_.emplace(workload_.Snapshot());
 }
 
 }  // namespace blot

@@ -12,8 +12,6 @@
 #define BLOT_CORE_DRIFT_H_
 
 #include <cstddef>
-#include <mutex>
-#include <optional>
 
 #include "core/workload.h"
 
@@ -74,34 +72,6 @@ class DriftMonitor {
  private:
   Workload reference_;
   double threshold_;
-};
-
-// Watches the live workload for drift away from a reference: folds each
-// executed query's size into a WorkloadTracker, takes the first snapshot
-// after kWarmup observations as the reference, and every kCheckInterval
-// observations publishes the distance (drift.workload_distance gauge)
-// plus workload_drift.alert / .clear events on transitions. Internally
-// synchronized.
-class WorkloadDriftWatch {
- public:
-  void Observe(const RangeSize& size);
-  // The live workload's distance from the reference (0 until enough
-  // queries have been observed to form both).
-  double Distance() const;
-  // Installs the current live workload as the reference (e.g. after
-  // replica reselection).
-  void Rebase();
-
-  // A snapshot needs a few queries before it is meaningful.
-  static constexpr std::size_t kWarmup = 64;
-  // Snapshotting the tracker is not free; check every this many.
-  static constexpr std::size_t kCheckInterval = 32;
-
- private:
-  mutable std::mutex mutex_;  // guards everything below
-  WorkloadTracker workload_;
-  std::optional<DriftMonitor> drift_;  // set after warmup
-  bool alerting_ = false;
 };
 
 }  // namespace blot

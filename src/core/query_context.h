@@ -4,8 +4,7 @@
 // routing, scanning, failover and telemetry with ad-hoc locals; under N
 // concurrent callers every piece of per-query state must be owned by
 // exactly one query. QueryContext is that owner: the profile the scan
-// kernels fill, the optional trace span, the attempt log the failover
-// loop appends to — everything that belongs to one query and nothing
+// kernels fill, the attempt log the failover loop appends to — everything that belongs to one query and nothing
 // that is shared. The shared structures (HealthMap, PartitionCache,
 // metrics registry, drift monitors) are internally synchronized; a
 // context is not, because it never crosses queries.
@@ -26,7 +25,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/cancel.h"
 
 namespace blot {
@@ -47,14 +45,12 @@ struct QueryAttempt {
 class QueryContext {
  public:
   // Builds a context for a fresh query: assigns a process-unique query
-  // id and latches whether profiling is on so the execution path checks
-  // one bool instead of re-probing the registry.
-  static QueryContext ForQuery(obs::TraceSpan* trace) {
+  // id and latches whether the metrics registry is on so the execution
+  // path checks one bool instead of re-probing the registry.
+  static QueryContext ForQuery() {
     static std::atomic<std::uint64_t> next_id{1};
     QueryContext ctx(next_id.fetch_add(1, std::memory_order_relaxed));
-    ctx.trace = trace;
-    ctx.profiling =
-        obs::MetricsRegistry::global().enabled() || trace != nullptr;
+    ctx.profiling = obs::MetricsRegistry::global().enabled();
     return ctx;
   }
 
@@ -63,12 +59,9 @@ class QueryContext {
   // Per-stage timings and counters, filled by routing, the scan kernels
   // and the attempt loop (obs/profile.h).
   obs::QueryProfile profile;
-  // Caller-owned trace span; null when tracing is off.
-  obs::TraceSpan* trace = nullptr;
   // One entry per attempt, in launch order.
   std::vector<QueryAttempt> attempts;
-  // MetricsRegistry::global().enabled() || trace != nullptr, latched at
-  // construction.
+  // MetricsRegistry::global().enabled(), latched at construction.
   bool profiling = false;
   // Cooperative cancellation for this query: carries the deadline (when
   // one is set) and is polled at attempt, partition, and block

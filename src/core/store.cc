@@ -50,45 +50,6 @@ obs::Gauge& BackgroundInflight() {
   return gauge;
 }
 
-// Records one routed execution into the query.* and failover.* metrics.
-void RecordRoutedQuery(const BlotStore::RoutedResult& routed) {
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& routed_total =
-      registry.GetCounter("query.routed_total");
-  static obs::Histogram& estimated_ms =
-      registry.GetHistogram("query.estimated_cost_ms");
-  static obs::Histogram& measured_ms =
-      registry.GetHistogram("query.measured_ms");
-  static obs::Counter& np_predicted =
-      registry.GetCounter("query.partitions_predicted_total");
-  static obs::Counter& partitions_scanned =
-      registry.GetCounter("query.partitions_scanned_total");
-  static obs::Counter& records_scanned =
-      registry.GetCounter("query.records_scanned_total");
-  static obs::Counter& records_returned =
-      registry.GetCounter("query.records_returned_total");
-  static obs::Counter& bytes_read =
-      registry.GetCounter("query.bytes_read_total");
-
-  routed_total.Increment();
-  registry.GetCounter("query.routed_total", {{"replica", routed.served_by}})
-      .Increment();
-  estimated_ms.Observe(routed.estimated_cost_ms);
-  measured_ms.Observe(routed.measured_cost_ms);
-  if (routed.measured_cost_ms > 0)
-    CostErrorHistogram().Observe(std::abs(obs::SignedCostErrorPct(
-        routed.estimated_cost_ms, routed.measured_cost_ms)));
-  np_predicted.Increment(routed.predicted_partitions);
-  partitions_scanned.Increment(routed.result.stats.partitions_scanned);
-  records_scanned.Increment(routed.result.stats.records_scanned);
-  records_returned.Increment(routed.result.records.size());
-  bytes_read.Increment(routed.result.stats.bytes_read);
-  if (routed.partial) Count("query.partial_total");
-  if (routed.degraded) Count("failover.queries_rerouted_total");
-  if (routed.hedged) Count("hedge.fired_total");
-  if (routed.hedge_backup_won) Count("hedge.backup_wins_total");
-}
-
 // Renders a partition list as "3,17,42" for event fields. A mass
 // quarantine can name hundreds of partitions; the field keeps the first
 // few for orientation and summarizes the rest, so one incident never
@@ -191,7 +152,7 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
   sync_ = std::move(other.sync_);
-  telemetry_ = std::move(other.telemetry_);
+  cost_drift_ = std::move(other.cost_drift_);
   return *this;
 }
 
@@ -406,7 +367,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
                                               ThreadPool* pool,
                                               QueryContext& ctx) {
   using Clock = std::chrono::steady_clock;
-  const bool metrics = obs::MetricsRegistry::global().enabled();
   obs::EventLog& log = obs::EventLog::Global();
 
   // Route once, under the same lock as the per-query policy snapshot
@@ -430,18 +390,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
   const std::vector<RoutingDecision>& ranked = ranking.ranked;
-  if (ctx.trace != nullptr) {
-    obs::TraceSpan& span = ctx.trace->AddChild("route");
-    span.set_duration_ms(route_ms);
-    span.AddAttribute("candidates", std::uint64_t{names.size()});
-    span.AddAttribute("healthy_candidates", std::uint64_t{ranked.size()});
-    if (!ranked.empty()) {
-      span.AddAttribute("replica", names[ranked.front().replica_index]);
-      span.AddAttribute("estimated_cost_ms", ranked.front().estimated_cost_ms);
-      span.AddAttribute("predicted_partitions",
-                        std::uint64_t{ranked.front().predicted_partitions});
-    }
-  }
 
   // One slot per launched attempt. The board is shared with the attempts
   // (a cancelled loser may still be writing its slot after the query
@@ -554,7 +502,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
         break;
       } else {
         exhausted = true;
-        if (metrics) Count("failover.exhausted_total");
+        if (ctx.profiling) Count("failover.exhausted_total");
         if (log.enabled()) {
           log.Emit(obs::EventSeverity::kError, "failover.exhausted",
                    "no healthy replica could serve the query",
@@ -635,7 +583,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   // within one block and is reaped when it finishes.
   for (const std::size_t s : running)
     board->slots[s].token.Cancel(CancelReason::kHedgeLost);
-  if (metrics) Count("failover.attempts_total", launched);
+  if (ctx.profiling) Count("failover.attempts_total", launched);
 
   // Finalize: the served answer, or exactly one of the two errors.
   Attempt nothing;  // the deadline answer when no attempt got anywhere
@@ -661,7 +609,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     throw UnservableError(query);
   }
   if (!winner) {
-    if (metrics) Count("query.deadline_exceeded_total");
+    if (ctx.profiling) Count("query.deadline_exceeded_total");
     const std::size_t scanned = served->result.served_partitions.size();
     const std::size_t missed = served->result.missed_partitions.size();
     if (!ctx.allow_partial) {
@@ -687,8 +635,8 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   routed.hedged = hedge.has_value();
   routed.hedge_backup_won = hedge && winner == hedge;
 
-  // The attempt log, stage times and execute spans, in launch order. A
-  // hedge loser's time overlapped the answer's: hedge time, not failover.
+  // The attempt log and stage times, in launch order. A hedge loser's
+  // time overlapped the answer's: hedge time, not failover.
   for (std::size_t i = 0; i < launched; ++i) {
     const Slot& slot = board->slots[i];
     const std::size_t idx = slot.decision.replica_index;
@@ -706,26 +654,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
                                      : obs::Stage::kHedge,
                            ms);
     }
-    if (ctx.trace == nullptr) continue;
-    obs::TraceSpan& span = ctx.trace->AddChild("execute");
-    span.set_duration_ms(ms);
-    span.AddAttribute("attempt", std::uint64_t{i + 1});
-    span.AddAttribute("replica", names[idx]);
-    if (!serving) {
-      span.AddAttribute("fault", fault);
-      continue;
-    }
-    const QueryStats& stats = routed.result.stats;
-    span.AddAttribute("partitions_scanned",
-                      std::uint64_t{stats.partitions_scanned});
-    span.AddAttribute("records_scanned", stats.records_scanned);
-    span.AddAttribute("records_returned",
-                      std::uint64_t{routed.result.records.size()});
-    span.AddAttribute("bytes_read", stats.bytes_read);
-    if (PartitionCache::Global().enabled()) {
-      span.AddAttribute("cache_hits", std::uint64_t{stats.cache_hits});
-      span.AddAttribute("cache_misses", std::uint64_t{stats.cache_misses});
-    }
   }
   if (ctx.profiling) {
     ctx.profile.replica_index = routed.replica_index;
@@ -741,31 +669,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
               obs::Field("missed",
                          PartitionList(routed.result.missed_partitions))});
   }
-  if (ctx.trace != nullptr) {
-    obs::TraceSpan& trace = *ctx.trace;
-    trace.AddAttribute("replica", routed.served_by);
-    trace.AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
-    trace.AddAttribute("measured_cost_ms", routed.measured_cost_ms);
-    trace.AddAttribute("partitions_scanned",
-                       std::uint64_t{routed.result.stats.partitions_scanned});
-    if (routed.degraded) {
-      trace.AddAttribute("attempts", std::uint64_t{routed.attempts});
-      trace.AddAttribute("degraded", std::string("true"));
-    }
-    if (routed.hedged) {
-      trace.AddAttribute("hedged", std::string("true"));
-      trace.AddAttribute("hedge_backup_won",
-                         std::string(routed.hedge_backup_won ? "true"
-                                                             : "false"));
-    }
-    if (routed.partial) {
-      trace.AddAttribute("partial_served",
-                         std::uint64_t{routed.result.served_partitions.size()});
-      trace.AddAttribute("partial_missed",
-                         std::uint64_t{routed.result.missed_partitions.size()});
-    }
-  }
-  if (metrics) RecordRoutedQuery(routed);
 
   // Synchronous repair runs on this thread; background repair
   // contributes only the submit.
@@ -779,11 +682,9 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
 
 BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
                                            const CostModel& model,
-                                           ThreadPool* pool,
-                                           obs::TraceSpan* trace) {
+                                           ThreadPool* pool) {
   ExecOptions options;
   options.pool = pool;
-  options.trace = trace;
   return Execute(query, model, options);
 }
 
@@ -796,7 +697,7 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   // All per-query state lives in the context; this function is
   // re-entrant under N concurrent callers (the serving layer's request
   // workers), who share only the internally synchronized structures.
-  QueryContext ctx = QueryContext::ForQuery(options.trace);
+  QueryContext ctx = QueryContext::ForQuery();
   ctx.deadline_ms = options.deadline_ms;
   ctx.allow_partial = options.allow_partial;
   ctx.hedge_ms = options.hedge_ms;
@@ -804,30 +705,54 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
     ctx.cancel = CancelToken::WithDeadline(options.deadline_ms);
   const std::uint64_t start_ns = ctx.profiling ? obs::MonotonicNanos() : 0;
   RoutedResult routed = Coordinate(query, model, options.pool, ctx);
-  if (ctx.profiling) {
-    ctx.profile.total_ms =
-        double(obs::MonotonicNanos() - start_ns) * 1e-6;
-    ObserveQueryTelemetry(query, ctx.profile);
-    if (options.trace != nullptr) ctx.profile.ExportToSpan(*options.trace);
-  }
+  if (ctx.profiling)
+    ctx.profile.total_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
   routed.query_id = ctx.query_id();
   routed.attempt_log = std::move(ctx.attempts);
   routed.profile = std::move(ctx.profile);
+  if (ctx.profiling) RecordQuery(routed);
   return routed;
 }
 
-void BlotStore::ObserveQueryTelemetry(const STRange& query,
-                                      const obs::QueryProfile& profile) {
-  obs::RecordProfile(profile);  // per-stage histograms (registry-gated)
-  telemetry_->cost_drift.Observe(profile);
-  telemetry_->workload.Observe(query.Size());
-}
+void BlotStore::RecordQuery(const RoutedResult& routed) {
+  auto& registry = obs::MetricsRegistry::global();
+  static obs::Counter& routed_total =
+      registry.GetCounter("query.routed_total");
+  static obs::Histogram& estimated_ms =
+      registry.GetHistogram("query.estimated_cost_ms");
+  static obs::Histogram& measured_ms =
+      registry.GetHistogram("query.measured_ms");
+  static obs::Counter& np_predicted =
+      registry.GetCounter("query.partitions_predicted_total");
+  static obs::Counter& partitions_scanned =
+      registry.GetCounter("query.partitions_scanned_total");
+  static obs::Counter& records_scanned =
+      registry.GetCounter("query.records_scanned_total");
+  static obs::Counter& records_returned =
+      registry.GetCounter("query.records_returned_total");
+  static obs::Counter& bytes_read =
+      registry.GetCounter("query.bytes_read_total");
 
-double BlotStore::WorkloadDriftDistance() const {
-  return telemetry_->workload.Distance();
+  routed_total.Increment();
+  registry.GetCounter("query.routed_total", {{"replica", routed.served_by}})
+      .Increment();
+  estimated_ms.Observe(routed.estimated_cost_ms);
+  measured_ms.Observe(routed.measured_cost_ms);
+  if (routed.measured_cost_ms > 0)
+    CostErrorHistogram().Observe(std::abs(obs::SignedCostErrorPct(
+        routed.estimated_cost_ms, routed.measured_cost_ms)));
+  np_predicted.Increment(routed.predicted_partitions);
+  partitions_scanned.Increment(routed.result.stats.partitions_scanned);
+  records_scanned.Increment(routed.result.stats.records_scanned);
+  records_returned.Increment(routed.result.records.size());
+  bytes_read.Increment(routed.result.stats.bytes_read);
+  if (routed.partial) Count("query.partial_total");
+  if (routed.degraded) Count("failover.queries_rerouted_total");
+  if (routed.hedged) Count("hedge.fired_total");
+  if (routed.hedge_backup_won) Count("hedge.backup_wins_total");
+  obs::RecordProfile(routed.profile);  // per-stage histograms
+  cost_drift_->Observe(routed.profile);
 }
-
-void BlotStore::RebaseWorkloadReference() { telemetry_->workload.Rebase(); }
 
 void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
                                      const FailoverPolicy& policy) {
@@ -1046,8 +971,6 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     result.stats.cache_hits += stats.cache_hits;
     result.stats.cache_misses += stats.cache_misses;
   };
-  std::uint64_t route_done_ns = start_ns;
-  std::uint64_t scans_done_ns = start_ns;
   {
     std::shared_lock lock(sync_->state_mutex);
     // Group queries by routed replica, preserving original indices. The
@@ -1060,7 +983,6 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
       result.replica_of[q] = replica;
       groups[replica].push_back(q);
     }
-    if (profiling) route_done_ns = obs::MonotonicNanos();
     for (std::size_t replica = 0; replica < groups.size(); ++replica) {
       const std::vector<std::size_t>& query_ids = groups[replica];
       if (query_ids.empty()) continue;
@@ -1086,7 +1008,6 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
         fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
       }
     }
-    if (profiling) scans_done_ns = obs::MonotonicNanos();
   }
 
   for (const std::size_t q : fallback) {
@@ -1096,31 +1017,7 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     add_stats(routed.result.stats);
     result.naive_partition_scans += routed.result.stats.partitions_scanned;
   }
-  const std::uint64_t end_ns = obs::MonotonicNanos();
-  result.measured_ms = double(end_ns - start_ns) * 1e-6;
-
-  if (profiling) {
-    // Batch-level stage breakdown: route = ranking every query, execute =
-    // the shared per-replica scans, failover = the one-by-one retries
-    // (those queries also produced their own full profiles via Execute).
-    obs::QueryProfile& profile = result.profile;
-    profile.AddStage(obs::Stage::kRoute,
-                     double(route_done_ns - start_ns) * 1e-6);
-    profile.AddStage(obs::Stage::kExecute,
-                     double(scans_done_ns - route_done_ns) * 1e-6,
-                     result.stats.bytes_read);
-    if (!fallback.empty())
-      profile.AddStage(obs::Stage::kFailover,
-                       double(end_ns - scans_done_ns) * 1e-6);
-    profile.partitions_touched = result.stats.partitions_scanned;
-    profile.records_scanned = result.stats.records_scanned;
-    profile.cache_hits = result.stats.cache_hits;
-    profile.cache_misses = result.stats.cache_misses;
-    profile.cache_miss_bytes = result.stats.bytes_read;
-    profile.parallel_scan = pool != nullptr;
-    profile.measured_cost_ms = result.measured_ms;
-    profile.total_ms = result.measured_ms;
-  }
+  result.measured_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
 
   if (profiling) {
     Count("query.batches_total");

@@ -28,13 +28,11 @@
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/drift.h"
 #include "core/health.h"
 #include "core/latency_map.h"
 #include "core/query_context.h"
 #include "obs/drift_monitor.h"
 #include "obs/profile.h"
-#include "obs/trace.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -161,20 +159,6 @@ class BlotStore {
   // deprioritization in routing (core/latency_map.h).
   const LatencyMap& latency() const { return *latency_; }
 
-  // Continuous telemetry fed by every routed query: per-replica cost-
-  // model error windows (cost_drift.alert events on threshold breach)
-  // and a decayed live-workload estimate checked against the reference
-  // workload (drift.workload_distance gauge, workload_drift.* events).
-  const obs::CostDriftMonitor& cost_drift_monitor() const {
-    return telemetry_->cost_drift;
-  }
-  // The live workload's distance from the reference (0 until enough
-  // queries have been observed to form both).
-  double WorkloadDriftDistance() const;
-  // Installs the current live workload as the drift reference (e.g.
-  // after replica reselection).
-  void RebaseWorkloadReference();
-
   struct RoutedResult {
     QueryResult result;
     std::size_t replica_index = 0;
@@ -194,8 +178,8 @@ class BlotStore {
     // the serving attempt is the one marked `success`.
     std::vector<QueryAttempt> attempt_log;
     // Per-stage breakdown of this query (docs/observability.md).
-    // Populated when the global metrics registry is enabled or a trace
-    // span was passed; all-zero otherwise.
+    // Populated when the global metrics registry is enabled; all-zero
+    // otherwise.
     obs::QueryProfile profile;
     // True when this is a *partial* answer (ExecOptions::allow_partial):
     // `result.records` holds everything found in the served partitions and
@@ -209,11 +193,10 @@ class BlotStore {
     bool hedge_backup_won = false;
   };
 
-  // Per-call execution knobs beyond the query itself. The 4-argument
+  // Per-call execution knobs beyond the query itself. The 3-argument
   // Execute overload is the everything-default spelling.
   struct ExecOptions {
     ThreadPool* pool = nullptr;
-    obs::TraceSpan* trace = nullptr;
     // Wall-clock budget for the whole call, measured from entry
     // (0 = none). Expiry cancels in-flight scans cooperatively at
     // partition and block boundaries, then either throws
@@ -242,13 +225,14 @@ class BlotStore {
   // are then repaired per the policy. Throws QueryFailedError when no
   // healthy copy of a needed partition remains.
   //
-  // When `trace` is non-null, a `route` child span plus one `execute`
-  // child span per attempt are attached; when the global metrics registry
-  // is enabled the same quantities feed the query.*, failover.* and
-  // quarantine.* metrics (docs/observability.md, docs/robustness.md).
+  // The RoutedResult is the query's one record: routing decision, cost
+  // estimate beside the measurement, attempt log and stage profile. When
+  // the global metrics registry is enabled the finished record also
+  // feeds the query.*, failover.* and hedge.* metrics, the per-stage
+  // histograms and the cost-drift monitor (docs/observability.md,
+  // docs/robustness.md).
   RoutedResult Execute(const STRange& query, const CostModel& model,
-                       ThreadPool* pool = nullptr,
-                       obs::TraceSpan* trace = nullptr);
+                       ThreadPool* pool = nullptr);
 
   // As above with the full knob set: deadline, partial-result opt-in and
   // hedged reads (see ExecOptions). Throws DeadlineExceededError when the
@@ -264,10 +248,6 @@ class BlotStore {
     QueryStats stats;                   // shared-scan accounting
     std::size_t naive_partition_scans = 0;
     double measured_ms = 0.0;           // wall clock of the whole batch
-    // Batch-level stage breakdown (route = routing all queries, execute
-    // = the shared scans; fallback queries profile through Execute).
-    // Populated when the global metrics registry is enabled.
-    obs::QueryProfile profile;
   };
 
   // Routes every query to its cheapest healthy replica, then executes
@@ -393,11 +373,10 @@ class BlotStore {
   // Per-policy repair scheduling once a query's attempts are done.
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
 
-  // Feeds one finished query's profile into the continuous-telemetry
-  // consumers (per-stage histograms, cost-drift windows, workload
-  // tracker).
-  void ObserveQueryTelemetry(const STRange& query,
-                             const obs::QueryProfile& profile);
+  // The one telemetry sink: feeds a finished query's record into the
+  // query.*/failover.*/hedge.* metrics, the per-stage histograms and the
+  // cost-drift monitor. Called once per query, registry enabled.
+  void RecordQuery(const RoutedResult& routed);
 
   // Implementations that assume state_mutex is held unique. AdoptReplica
   // registers a built replica with the sketches, health and latency maps.
@@ -410,12 +389,6 @@ class BlotStore {
                                        ThreadPool* pool);
   std::size_t RepairQuarantinedLocked(ThreadPool* pool);
 
-  // Continuous-telemetry state, boxed so BlotStore stays movable.
-  struct Telemetry {
-    obs::CostDriftMonitor cost_drift;
-    WorkloadDriftWatch workload;
-  };
-
   Dataset dataset_;
   STRange universe_;
   std::vector<Replica> replicas_;
@@ -424,7 +397,10 @@ class BlotStore {
   std::unique_ptr<HealthMap> health_ = std::make_unique<HealthMap>();
   std::unique_ptr<LatencyMap> latency_ = std::make_unique<LatencyMap>();
   std::unique_ptr<SyncState> sync_ = std::make_unique<SyncState>();
-  std::unique_ptr<Telemetry> telemetry_ = std::make_unique<Telemetry>();
+  // Per-replica cost-model error windows (cost_drift.* gauges and
+  // events); boxed because the monitor is neither movable nor copyable.
+  std::unique_ptr<obs::CostDriftMonitor> cost_drift_ =
+      std::make_unique<obs::CostDriftMonitor>();
 };
 
 }  // namespace blot

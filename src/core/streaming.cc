@@ -56,6 +56,7 @@ void StreamingStore::Compact() {
   merged.Append(delta_);
 
   BlotStore rebuilt(std::move(merged), store_.universe());
+  rebuilt.SetFailoverPolicy(store_.failover_policy());
   for (std::size_t i = 0; i < store_.NumReplicas(); ++i) {
     const Replica& replica = store_.replica(i);
     if (store_.IsFullReplica(i)) {

@@ -53,7 +53,8 @@ class StreamingStore {
                                             const CostModel& model);
 
   // Folds the delta into the dataset and rebuilds every replica with its
-  // existing configuration (full and partial alike).
+  // existing configuration (full and partial alike). The rebuilt store
+  // keeps the failover policy.
   void Compact();
 
  private:

@@ -8,7 +8,7 @@
 // a `cost_drift.alert` event and flips the cost_drift.alerting gauge —
 // the trigger signal the future replica-tuning advisor will consume
 // (ROADMAP: online workload-adaptive replica tuning; the workload-shape
-// side of drift lives in src/core/drift.h and is wired up by the store).
+// side of drift lives in src/core/drift.h).
 //
 // Alerts fire on *transition* (ok -> alerting), not per query, and a
 // matching `cost_drift.clear` fires on the way back, so the event log

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace blot::obs {
 namespace {
@@ -83,32 +82,6 @@ std::string QueryProfile::ToJson() const {
          ",\"cost_error_pct\":" + FormatJsonNumber(CostErrorPct()) +
          ",\"total_ms\":" + FormatJsonNumber(total_ms) + "}";
   return out;
-}
-
-void QueryProfile::ExportToSpan(TraceSpan& span) const {
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    if (stage_ms[i] == 0.0 && stage_bytes[i] == 0) continue;
-    span.AddAttribute("profile." + std::string(kStageNames[i]) + "_ms",
-                      stage_ms[i]);
-    if (stage_bytes[i] != 0)
-      span.AddAttribute("profile." + std::string(kStageNames[i]) + "_bytes",
-                        stage_bytes[i]);
-  }
-  span.AddAttribute("profile.partitions_touched", partitions_touched);
-  span.AddAttribute("profile.partitions_skipped", partitions_skipped);
-  if (blocks_scanned != 0 || blocks_pruned != 0) {
-    span.AddAttribute("profile.blocks_scanned", blocks_scanned);
-    span.AddAttribute("profile.blocks_pruned", blocks_pruned);
-    span.AddAttribute("profile.partitions_zone_pruned",
-                      partitions_zone_pruned);
-  }
-  if (!scan_engine.empty())
-    span.AddAttribute("profile.scan_engine", scan_engine);
-  span.AddAttribute("profile.cache_hit_bytes", cache_hit_bytes);
-  span.AddAttribute("profile.cache_miss_bytes", cache_miss_bytes);
-  span.AddAttribute("profile.attempts", std::uint64_t{attempts});
-  span.AddAttribute("profile.cost_error_pct", CostErrorPct());
-  span.AddAttribute("profile.total_ms", total_ms);
 }
 
 std::string QueryProfile::Render() const {

@@ -32,8 +32,6 @@
 
 namespace blot::obs {
 
-class TraceSpan;
-
 // Order matters: the first kTopLevelStageCount entries are the disjoint
 // top-level stages, the rest nest inside kExecute.
 enum class Stage : std::uint8_t {
@@ -115,9 +113,6 @@ struct QueryProfile {
 
   // One JSON object (single line, no trailing newline).
   std::string ToJson() const;
-
-  // Attaches the profile as `profile.*` attributes on `span`.
-  void ExportToSpan(TraceSpan& span) const;
 
   // Human-readable per-stage table for blotctl --profile.
   std::string Render() const;

@@ -1,10 +1,10 @@
 // Per-query trace spans: a tree of named, timed operations with
 // key=value attributes, rendered as an ASCII tree.
 //
-// A span is created by the code that owns an operation (the CLI creates
-// the root; BlotStore::Execute fills in `route` and `execute` children)
-// and carries what the metrics layer aggregates away: which replica THIS
-// query chose, what the model estimated, what execution measured. All
+// Tools build the tree for the operation they ran (blotctl store-query
+// renders `route` and `execute` children from the query's RoutedResult)
+// and it carries what the metrics layer aggregates away: which replica
+// THIS query chose, what the model estimated, what execution measured. All
 // public methods are thread-safe so parallel partition scans can annotate
 // spans concurrently; child spans have stable addresses for the lifetime
 // of their parent.

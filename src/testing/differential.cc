@@ -417,10 +417,10 @@ struct Iteration {
                 (parallel ? ";parallel" : ";serial") + "]" + tag;
             Check(name, query, expected, [&] {
               EngineGuard engine_guard(engine);
-              ScanOptions scan;
-              scan.pool = parallel ? &ScanPool() : nullptr;
-              scan.zone_map_pruning = pruned;
-              return replica.Execute(query, scan).records;
+              ZonePruneGuard prune_guard(pruned);
+              return replica
+                  .Execute(query, parallel ? &ScanPool() : nullptr)
+                  .records;
             });
           }
         }

@@ -150,6 +150,22 @@ TEST(StreamingStoreTest, RejectsRecordsOutsideUniverse) {
   EXPECT_THROW(store.Ingest(outside), InvalidArgument);
 }
 
+TEST(StreamingStoreTest, CompactionKeepsFailoverPolicy) {
+  const Fixture f;
+  BlotStore base = f.MakeStore();
+  FailoverPolicy policy;
+  policy.max_attempts = 1;
+  policy.repair = RepairMode::kNone;
+  base.SetFailoverPolicy(policy);
+  StreamingStore store(std::move(base), 0);
+  store.Ingest(f.incoming.records().front());
+  store.Compact();
+  ASSERT_EQ(store.compactions(), 1u);
+  const FailoverPolicy kept = store.store().failover_policy();
+  EXPECT_EQ(kept.max_attempts, 1u);
+  EXPECT_EQ(kept.repair, RepairMode::kNone);
+}
+
 TEST(StreamingStoreTest, CompactOnEmptyDeltaIsNoop) {
   const Fixture f;
   StreamingStore store(f.MakeStore(), 0);

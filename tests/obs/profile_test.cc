@@ -5,7 +5,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace blot::obs {
 namespace {
@@ -101,19 +100,6 @@ TEST(QueryProfileTest, RenderFlagsParallelScan) {
   QueryProfile p = SampleProfile();
   p.parallel_scan = true;
   EXPECT_NE(p.Render().find("[parallel scan"), std::string::npos);
-}
-
-TEST(QueryProfileTest, ExportToSpanEmitsNonEmptyStagesOnly) {
-  const QueryProfile p = SampleProfile();
-  TraceSpan span("query");
-  p.ExportToSpan(span);
-  const std::string rendered = span.Render();
-  EXPECT_NE(rendered.find("profile.route_ms=0.25"), std::string::npos)
-      << rendered;
-  EXPECT_NE(rendered.find("profile.decode_bytes=4096"), std::string::npos);
-  EXPECT_NE(rendered.find("profile.cost_error_pct=50"), std::string::npos);
-  // kRepair never ran: no attribute at all.
-  EXPECT_EQ(rendered.find("profile.repair_ms"), std::string::npos);
 }
 
 TEST(QueryProfileMetricsTest, RecordProfileFillsStageHistograms) {

@@ -1,15 +1,17 @@
-// End-to-end observability of query routing: a traced BlotStore::Execute
-// must report the chosen replica, the cost model's estimate and the
-// measured wall clock — in the RoutedResult, in the span tree, and in
-// the global metrics registry.
+// End-to-end observability of query routing: BlotStore::Execute must
+// report the chosen replica, the cost model's estimate and the measured
+// wall clock — in the RoutedResult, and once per query in the global
+// metrics registry.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
+#include <vector>
 
 #include "core/store.h"
 #include "gen/taxi_generator.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "serve/server.h"
 
 namespace blot {
 namespace {
@@ -52,26 +54,27 @@ TEST_F(RoutingObsTest, TracedQueryRecordsEstimatedAndMeasuredCost) {
       universe.y_min(), universe.y_min() + universe.Height() / 8,
       universe.t_min(), universe.t_min() + universe.Duration() / 8);
 
-  obs::TraceSpan root("store-query");
-  const auto routed = store.Execute(query, model, nullptr, &root);
+  const auto routed = store.Execute(query, model);
 
   // The result itself carries both sides of the comparison.
   EXPECT_GT(routed.estimated_cost_ms, 0.0);
   EXPECT_GT(routed.measured_cost_ms, 0.0);
   EXPECT_LT(routed.replica_index, store.NumReplicas());
   EXPECT_GT(routed.predicted_partitions, 0u);
+  EXPECT_GT(routed.result.stats.partitions_scanned, 0u);
 
-  // The span tree carries them too, with route/execute children.
-  EXPECT_EQ(root.attribute("replica"),
+  // The serving replica, its one attempt and the profile agree with it.
+  EXPECT_EQ(routed.served_by,
             store.replica(routed.replica_index).config().Name());
-  EXPECT_NE(root.attribute("estimated_cost_ms"), "");
-  EXPECT_NE(root.attribute("measured_cost_ms"), "");
-  const obs::TraceSpan* route = root.FindChild("route");
-  ASSERT_NE(route, nullptr);
-  EXPECT_EQ(route->attribute("candidates"), "2");
-  const obs::TraceSpan* execute = root.FindChild("execute");
-  ASSERT_NE(execute, nullptr);
-  EXPECT_NE(execute->attribute("partitions_scanned"), "");
+  ASSERT_EQ(routed.attempt_log.size(), 1u);
+  EXPECT_TRUE(routed.attempt_log[0].success);
+  EXPECT_EQ(routed.attempt_log[0].replica, routed.served_by);
+  EXPECT_DOUBLE_EQ(routed.attempt_log[0].ms, routed.measured_cost_ms);
+  EXPECT_EQ(routed.profile.replica_index, routed.replica_index);
+  EXPECT_DOUBLE_EQ(routed.profile.estimated_cost_ms, routed.estimated_cost_ms);
+  EXPECT_DOUBLE_EQ(routed.profile.measured_cost_ms, routed.measured_cost_ms);
+  EXPECT_DOUBLE_EQ(routed.profile.stage(obs::Stage::kExecute),
+                   routed.measured_cost_ms);
 
   // And the registry aggregated the same facts.
   const obs::MetricsSnapshot snap =
@@ -155,6 +158,50 @@ TEST_F(RoutingObsTest, BatchExecutionRecordsSharedScanSavings) {
   ASSERT_NE(saved, nullptr);
   EXPECT_EQ(saved->value,
             batch.naive_partition_scans - batch.stats.partitions_scanned);
+}
+
+// Request workers finish queries concurrently; each one still lands in
+// the registry exactly once: one routed count, one profile, one cost
+// error observation.
+TEST_F(RoutingObsTest, ServedQueriesRecordEachQueryOnce) {
+  BlotStore store = MakeStore();
+  constexpr std::size_t kQueries = 200;
+  serve::ServerOptions options;
+  options.worker_threads = 4;
+  options.max_inflight = kQueries;
+  std::vector<std::future<BlotStore::RoutedResult>> futures;
+  std::size_t measured = 0;
+  {
+    serve::QueryServer server(store, model, options);
+    for (std::size_t i = 0; i < kQueries; ++i) {
+      // Mixed shapes: point-like, slab and whole-universe queries.
+      const double f = 1.0 / double(1 + i % 8);
+      const double t0 = universe.t_min() + universe.Duration() *
+                                               double(i % 5) / 5.0 * (1 - f);
+      futures.push_back(server.Submit(STRange::FromBounds(
+          universe.x_min(), universe.x_min() + universe.Width() * f,
+          universe.y_max() - universe.Height() * f, universe.y_max(), t0,
+          t0 + universe.Duration() * f)));
+    }
+    for (auto& future : futures)
+      if (future.get().measured_cost_ms > 0) ++measured;
+    server.Drain();
+    ASSERT_EQ(server.stats().completed, kQueries);
+  }
+
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::global().Snapshot();
+  const obs::CounterSnapshot* routed = snap.FindCounter("query.routed_total");
+  ASSERT_NE(routed, nullptr);
+  EXPECT_EQ(routed->value, kQueries);
+  const obs::CounterSnapshot* profiled =
+      snap.FindCounter("query.profiled_total");
+  ASSERT_NE(profiled, nullptr);
+  EXPECT_EQ(profiled->value, kQueries);
+  const obs::HistogramSnapshot* error =
+      snap.FindHistogram("query.cost_error_pct");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->count, measured);
 }
 
 }  // namespace

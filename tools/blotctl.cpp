@@ -421,6 +421,64 @@ int CmdStoreBuild(const Flags& flags) {
   return 0;
 }
 
+// Fills `root` with the span tree of one routed query, rendered from its
+// record: the root carries the serving replica and both costs, `route`
+// the routing decision, and one `execute` child per attempt — the
+// serving one with its scan stats, a failed one with its fault.
+void TraceRoutedQuery(const BlotStore& store,
+                      const BlotStore::RoutedResult& routed,
+                      obs::TraceSpan& root) {
+  const QueryStats& stats = routed.result.stats;
+  root.AddAttribute("replica", routed.served_by);
+  root.AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
+  root.AddAttribute("measured_cost_ms", routed.measured_cost_ms);
+  root.AddAttribute("partitions_scanned",
+                    std::uint64_t{stats.partitions_scanned});
+  if (routed.degraded) {
+    root.AddAttribute("attempts", std::uint64_t{routed.attempts});
+    root.AddAttribute("degraded", std::string("true"));
+  }
+  if (routed.hedged) {
+    root.AddAttribute("hedged", std::string("true"));
+    root.AddAttribute("hedge_backup_won",
+                      std::string(routed.hedge_backup_won ? "true" : "false"));
+  }
+  if (routed.partial) {
+    root.AddAttribute("partial_served",
+                      std::uint64_t{routed.result.served_partitions.size()});
+    root.AddAttribute("partial_missed",
+                      std::uint64_t{routed.result.missed_partitions.size()});
+  }
+  obs::TraceSpan& route = root.AddChild("route");
+  route.set_duration_ms(routed.profile.stage(obs::Stage::kRoute));
+  route.AddAttribute("candidates", std::uint64_t{store.NumReplicas()});
+  route.AddAttribute("replica", routed.served_by);
+  route.AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
+  route.AddAttribute("predicted_partitions",
+                     std::uint64_t{routed.predicted_partitions});
+  for (std::size_t i = 0; i < routed.attempt_log.size(); ++i) {
+    const QueryAttempt& attempt = routed.attempt_log[i];
+    obs::TraceSpan& execute = root.AddChild("execute");
+    execute.set_duration_ms(attempt.ms);
+    execute.AddAttribute("attempt", std::uint64_t{i + 1});
+    execute.AddAttribute("replica", attempt.replica);
+    if (!attempt.success) {
+      execute.AddAttribute("fault", attempt.fault);
+      continue;
+    }
+    execute.AddAttribute("partitions_scanned",
+                         std::uint64_t{stats.partitions_scanned});
+    execute.AddAttribute("records_scanned", stats.records_scanned);
+    execute.AddAttribute("records_returned",
+                         std::uint64_t{routed.result.records.size()});
+    execute.AddAttribute("bytes_read", stats.bytes_read);
+    if (PartitionCache::Global().enabled()) {
+      execute.AddAttribute("cache_hits", std::uint64_t{stats.cache_hits});
+      execute.AddAttribute("cache_misses", std::uint64_t{stats.cache_misses});
+    }
+  }
+}
+
 // Routed query against a persisted multi-replica store. With
 // --concurrency N and/or --repeat K the query runs K times scheduled
 // over N request workers through the serving layer (serve::QueryServer),
@@ -432,11 +490,14 @@ int CmdStoreQuery(const Flags& flags) {
   ConfigureCacheIfRequested(flags);
   ArmFaultsIfRequested(flags);
   OpenEventLogIfRequested(flags);
-  // --profile wants the stage breakdown, which is only populated when the
-  // registry (or a trace) is on; it also runs the scan single-threaded so
-  // the sub-stage wall times are additive and sum to the total.
+  // --profile and --trace want the stage breakdown, which is only
+  // populated when the registry is on; --profile also runs the scan
+  // single-threaded so the sub-stage wall times are additive and sum to
+  // the total.
   const bool profile_requested = flags.Has("profile");
-  if (profile_requested) obs::MetricsRegistry::global().set_enabled(true);
+  const bool trace_requested = flags.Has("trace");
+  if (profile_requested || trace_requested)
+    obs::MetricsRegistry::global().set_enabled(true);
   const std::size_t concurrency =
       static_cast<std::size_t>(flags.GetInt("concurrency", 1));
   const std::size_t repeat =
@@ -444,7 +505,7 @@ int CmdStoreQuery(const Flags& flags) {
   require(concurrency >= 1, "--concurrency must be at least 1");
   require(repeat >= 1, "--repeat must be at least 1");
   const bool concurrent = concurrency > 1 || repeat > 1;
-  require(!(concurrent && flags.Has("trace")),
+  require(!(concurrent && trace_requested),
           "--trace requires --concurrency 1 --repeat 1");
   // Non-const: Execute may quarantine and self-heal faulty partitions.
   BlotStore store = BlotStore::Load(flags.GetString("dir"));
@@ -532,13 +593,15 @@ int CmdStoreQuery(const Flags& flags) {
     obs::SpanTimer timer(&root);
     BlotStore::ExecOptions exec;
     exec.pool = profile_requested ? nullptr : &pool;
-    exec.trace = flags.Has("trace") ? &root : nullptr;
     exec.deadline_ms = deadline_ms;
     exec.allow_partial = allow_partial;
     exec.hedge_ms = hedge_ms;
     return store.Execute(range, model, exec);
   }();
-  if (flags.Has("trace")) std::fputs(root.Render().c_str(), stdout);
+  if (trace_requested) {
+    TraceRoutedQuery(store, routed, root);
+    std::fputs(root.Render().c_str(), stdout);
+  }
   if (profile_requested) std::fputs(routed.profile.Render().c_str(), stdout);
   std::printf("routed to replica %zu (%s), estimated %.1f s, "
               "measured %.2f ms\n",
