@@ -407,8 +407,6 @@ QueryResult Replica::Execute(const STRange& query,
     profile->partitions_zone_pruned += zone_pruned;
     profile->blocks_scanned += blocks_scanned;
     profile->blocks_pruned += blocks_pruned;
-    profile->scan_engine =
-        std::string(simd::ScanEngineName(simd::ActiveScanEngine()));
     profile->records_scanned += result.stats.records_scanned;
     profile->cache_hits += result.stats.cache_hits;
     profile->cache_misses += result.stats.cache_misses;

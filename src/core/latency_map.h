@@ -18,12 +18,15 @@
 //     corruption, and quarantining a slow-but-alive replica would
 //     *reduce* the diversity the paper's recovery argument relies on.
 //
-// The penalty is deliberately conservative: it needs a minimum number
-// of observations per replica and only kicks in past a generous
-// slowness ratio, so honest speed differences between encodings (a few
-// x between e.g. ROW-SNAPPY and COL-LZMA) never override the cost
-// model — only genuine brownouts (injected or real latency faults, an
-// order of magnitude and up) do.
+// The penalty needs a minimum number of observations per replica and
+// only kicks in past a generous slowness ratio (4x), but honest speed
+// differences between encodings can cross it and override the cost
+// model. On blotbench's paper-mix, whose COL-LZMA replica decoded at
+// 6.4 MB/s, LocalHadoop's 2013 constants would send 29% of queries to
+// KD64xT64/COL-LZMA; the penalty alone keeps that share at 0. Forcing
+// the penalty to 1.0 dropped paper-mix from ~4000 to ~700 qps and
+// raised routing regret from ~1.1 to ~4 (docs/robustness.md). It must
+// stay until the cost model is calibrated to the hardware.
 //
 // Internally synchronized; attempts observe concurrently from the
 // serving layer's request workers.

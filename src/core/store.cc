@@ -655,13 +655,6 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
                            ms);
     }
   }
-  if (ctx.profiling) {
-    ctx.profile.replica_index = routed.replica_index;
-    ctx.profile.attempts = static_cast<std::uint32_t>(routed.attempts);
-    ctx.profile.degraded = routed.degraded;
-    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-  }
   if (log.enabled() && exhausted && routed.partial) {
     log.Warn("query.partial", "serving partial result around lost partitions",
              {obs::Field("replica", routed.served_by),
@@ -751,7 +744,8 @@ void BlotStore::RecordQuery(const RoutedResult& routed) {
   if (routed.hedged) Count("hedge.fired_total");
   if (routed.hedge_backup_won) Count("hedge.backup_wins_total");
   obs::RecordProfile(routed.profile);  // per-stage histograms
-  cost_drift_->Observe(routed.profile);
+  cost_drift_->Observe(routed.replica_index, routed.estimated_cost_ms,
+                       routed.measured_cost_ms);
 }
 
 void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,

@@ -6,6 +6,7 @@
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/error.h"
 
 namespace blot::obs {
@@ -37,16 +38,17 @@ CostDriftMonitor::ReplicaStats CostDriftMonitor::ComputeStats(
   return stats;
 }
 
-void CostDriftMonitor::Observe(const QueryProfile& profile) {
-  if (profile.measured_cost_ms <= 0.0) return;
-  const double signed_error_pct = SignedCostErrorPct(
-      profile.estimated_cost_ms, profile.measured_cost_ms);
+void CostDriftMonitor::Observe(std::size_t replica, double estimated_ms,
+                               double measured_ms) {
+  if (measured_ms <= 0.0) return;
+  const double signed_error_pct =
+      SignedCostErrorPct(estimated_ms, measured_ms);
 
   ReplicaStats stats;
   bool fired_alert = false, fired_clear = false;
   {
     std::lock_guard lock(mutex_);
-    Window& window = windows_[profile.replica_index];
+    Window& window = windows_[replica];
     window.signed_errors.push_back(signed_error_pct);
     while (window.signed_errors.size() > options_.window)
       window.signed_errors.pop_front();
@@ -60,10 +62,9 @@ void CostDriftMonitor::Observe(const QueryProfile& profile) {
     }
   }
 
-  const std::string replica = std::to_string(profile.replica_index);
   MetricsRegistry& registry = MetricsRegistry::global();
   if (registry.enabled()) {
-    const Labels labels = {{"replica", replica}};
+    const Labels labels = {{"replica", std::to_string(replica)}};
     registry.GetGauge("cost_drift.error_pct", labels)
         .Set(stats.mean_abs_error_pct);
     registry.GetGauge("cost_drift.alerting", labels)
@@ -74,7 +75,7 @@ void CostDriftMonitor::Observe(const QueryProfile& profile) {
   if (fired_alert) {
     log.Warn("cost_drift.alert",
              "cost model error exceeds threshold",
-             {Field("replica", profile.replica_index),
+             {Field("replica", replica),
               Field("mean_abs_error_pct", stats.mean_abs_error_pct),
               Field("mean_signed_error_pct", stats.mean_signed_error_pct),
               Field("max_abs_error_pct", stats.max_abs_error_pct),
@@ -82,7 +83,7 @@ void CostDriftMonitor::Observe(const QueryProfile& profile) {
               Field("threshold_pct", options_.alert_error_pct)});
   } else if (fired_clear) {
     log.Info("cost_drift.clear", "cost model error back under threshold",
-             {Field("replica", profile.replica_index),
+             {Field("replica", replica),
               Field("mean_abs_error_pct", stats.mean_abs_error_pct),
               Field("threshold_pct", options_.alert_error_pct)});
   }

@@ -1,11 +1,12 @@
-// Cost-model drift detection from per-query profiles.
+// Cost-model drift detection from per-query routing outcomes.
 //
 // Routing is only as good as the cost model (Eq. 6-12), and the model's
 // calibration decays as workloads drift away from what it was fitted
-// on. The CostDriftMonitor consumes QueryProfiles and maintains a
-// sliding window of estimated-vs-measured cost error per replica; when
-// a replica's mean absolute error exceeds the alert threshold it emits
-// a `cost_drift.alert` event and flips the cost_drift.alerting gauge —
+// on. The CostDriftMonitor consumes each query's estimated and measured
+// cost (BlotStore::RecordQuery passes them from the RoutedResult) and
+// maintains a sliding window of the cost error per replica; when a
+// replica's mean absolute error exceeds the alert threshold it emits a
+// `cost_drift.alert` event and flips the cost_drift.alerting gauge —
 // the trigger signal the future replica-tuning advisor will consume
 // (ROADMAP: online workload-adaptive replica tuning; the workload-shape
 // side of drift lives in src/core/drift.h).
@@ -23,8 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profile.h"
-
 namespace blot::obs {
 
 struct CostDriftOptions {
@@ -39,11 +38,11 @@ class CostDriftMonitor {
   CostDriftMonitor(const CostDriftMonitor&) = delete;
   CostDriftMonitor& operator=(const CostDriftMonitor&) = delete;
 
-  // Feeds one query's profile into its replica's window. Queries with
-  // no measured cost (failed before execution) are ignored. Updates the
-  // cost_drift.* gauges and emits alert/clear events on threshold
-  // transitions.
-  void Observe(const QueryProfile& profile);
+  // Feeds one query's estimated and measured cost into `replica`'s
+  // window. Queries with no measured cost (failed before execution) are
+  // ignored. Updates the cost_drift.* gauges and emits alert/clear
+  // events on threshold transitions.
+  void Observe(std::size_t replica, double estimated_ms, double measured_ms);
 
   struct ReplicaStats {
     std::size_t samples = 0;           // window fill

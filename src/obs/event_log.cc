@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -71,8 +69,9 @@ EventLog::~EventLog() {
 }
 
 void EventLog::OpenSink(const std::string& path) {
-  std::lock_guard lock(sink_mutex_);
+  std::lock_guard lock(mutex_);
   if (sink_ != nullptr) {
+    DrainLocked();
     std::fclose(AsFile(sink_));
     sink_ = nullptr;
   }
@@ -92,9 +91,9 @@ void EventLog::OpenSink(const std::string& path) {
 }
 
 void EventLog::CloseSink() {
-  Flush();
-  std::lock_guard lock(sink_mutex_);
+  std::lock_guard lock(mutex_);
   if (sink_ != nullptr) {
+    DrainLocked();
     std::fclose(AsFile(sink_));
     sink_ = nullptr;
   }
@@ -102,24 +101,14 @@ void EventLog::CloseSink() {
 }
 
 bool EventLog::has_sink() const {
-  std::lock_guard lock(sink_mutex_);
+  std::lock_guard lock(mutex_);
   return sink_ != nullptr;
 }
 
-EventLog::Shard& EventLog::ShardForThisThread() {
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return shards_[h % kShards];
-}
-
-void EventLog::DrainLocked(Shard& shard) {
-  if (shard.pending.empty()) return;
-  std::lock_guard sink_lock(sink_mutex_);
-  if (sink_ != nullptr) {
-    std::fwrite(shard.pending.data(), 1, shard.pending.size(),
-                AsFile(sink_));
-  }
-  shard.pending.clear();
+void EventLog::DrainLocked() {
+  if (sink_ != nullptr && !pending_.empty())
+    std::fwrite(pending_.data(), 1, pending_.size(), AsFile(sink_));
+  pending_.clear();
 }
 
 void EventLog::Emit(EventSeverity severity, std::string_view category,
@@ -134,46 +123,33 @@ void EventLog::Emit(EventSeverity severity, std::string_view category,
   event.message = std::string(message);
   event.fields = std::move(fields);
 
-  Shard& shard = ShardForThisThread();
-  std::lock_guard lock(shard.mutex);
-  event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  event.seq = next_seq_++;
   emitted_.fetch_add(1, std::memory_order_relaxed);
-
-  shard.pending += event.ToJson();
-  shard.pending += '\n';
-  shard.recent.push_back(std::move(event));
-  while (shard.recent.size() > kRecentCapacity) shard.recent.pop_front();
-  if (shard.pending.size() >= kFlushThresholdBytes) DrainLocked(shard);
+  pending_ += event.ToJson();
+  pending_ += '\n';
+  recent_.push_back(std::move(event));
+  if (recent_.size() > kRecentCapacity) recent_.pop_front();
+  if (pending_.size() >= kFlushThresholdBytes) DrainLocked();
 }
 
 void EventLog::Flush() {
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    DrainLocked(shard);
-  }
-  std::lock_guard lock(sink_mutex_);
+  std::lock_guard lock(mutex_);
+  DrainLocked();
   if (sink_ != nullptr) std::fflush(AsFile(sink_));
 }
 
 std::vector<Event> EventLog::Recent(std::size_t max) const {
-  std::vector<Event> out;
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    out.insert(out.end(), shard.recent.begin(), shard.recent.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
-  if (out.size() > max) out.erase(out.begin(), out.end() - max);
-  return out;
+  std::lock_guard lock(mutex_);
+  const std::size_t n = std::min(max, recent_.size());
+  return {recent_.end() - static_cast<std::ptrdiff_t>(n), recent_.end()};
 }
 
 void EventLog::ResetForTest() {
-  for (Shard& shard : shards_) {
-    std::lock_guard lock(shard.mutex);
-    DrainLocked(shard);
-    shard.recent.clear();
-  }
-  next_seq_.store(1, std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  DrainLocked();
+  recent_.clear();
+  next_seq_ = 1;
   emitted_.store(0, std::memory_order_relaxed);
 }
 

@@ -11,13 +11,12 @@
 //
 // Design mirrors the metrics registry's cost discipline: the global log
 // starts disabled and `enabled()` is one relaxed atomic load, so
-// instrumented paths cost nothing until a sink is opened. Emission is
-// lock-sharded: a writer formats its line outside any lock, then appends
-// it under one of kShards shard mutexes, so concurrent scans almost
-// never contend. Shard buffers drain to the sink (an append-only JSONL
-// file) when they grow past a threshold and on Flush(); lines carry a
-// global sequence number, so a reader can restore total order after the
-// sharded writers interleave.
+// instrumented paths cost nothing until a sink is opened. Events are
+// rare transitions, so one mutex is enough: Emit takes it, assigns the
+// next sequence number, formats the line and appends it to the pending
+// buffer and the recent-events ring. The buffer drains to the sink (an
+// append-only JSONL file) when it grows past a threshold and on Flush(),
+// so the sink's lines are always in `seq` order.
 #ifndef BLOT_OBS_EVENT_LOG_H_
 #define BLOT_OBS_EVENT_LOG_H_
 
@@ -44,7 +43,7 @@ EventSeverity SeverityFromName(std::string_view name);
 using EventFields = std::vector<std::pair<std::string, std::string>>;
 
 struct Event {
-  std::uint64_t seq = 0;       // global order across shards
+  std::uint64_t seq = 0;       // global emission order
   std::uint64_t wall_ms = 0;   // unix epoch milliseconds
   std::uint64_t mono_ns = 0;   // MonotonicNanos() at emission
   EventSeverity severity = EventSeverity::kInfo;
@@ -96,12 +95,12 @@ class EventLog {
     Emit(EventSeverity::kWarn, category, message, std::move(fields));
   }
 
-  // Drains every shard buffer to the sink and flushes it.
+  // Drains the pending buffer to the sink and flushes it.
   void Flush();
 
   // The most recent `max` events (any severity), oldest first — for
-  // tests and in-process tooling. Capacity is bounded (kRecentCapacity
-  // per shard); older events are only in the sink.
+  // tests and in-process tooling. Capacity is bounded
+  // (kRecentCapacity); older events are only in the sink.
   std::vector<Event> Recent(std::size_t max = 64) const;
 
   std::uint64_t emitted() const {
@@ -112,30 +111,21 @@ class EventLog {
   // sink, if open, is left as-is). For tests.
   void ResetForTest();
 
-  static constexpr std::size_t kShards = 8;
-  static constexpr std::size_t kRecentCapacity = 128;  // per shard
+  static constexpr std::size_t kRecentCapacity = 1024;
   static constexpr std::size_t kFlushThresholdBytes = 16 * 1024;
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::string pending;        // formatted JSONL lines awaiting the sink
-    std::deque<Event> recent;   // bounded ring for Recent()
-  };
-
-  Shard& ShardForThisThread();
-  // Appends `shard`'s pending bytes to the sink. Caller holds the shard
-  // mutex; takes the sink mutex.
-  void DrainLocked(Shard& shard);
+  // Appends the pending bytes to the sink. Caller holds mutex_.
+  void DrainLocked();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> emitted_{0};
 
-  mutable std::mutex sink_mutex_;
-  void* sink_ = nullptr;  // std::FILE*, kept opaque in the header
-
-  mutable Shard shards_[kShards];
+  mutable std::mutex mutex_;
+  std::uint64_t next_seq_ = 1;  // guarded by mutex_
+  std::string pending_;         // formatted JSONL lines awaiting the sink
+  std::deque<Event> recent_;    // bounded ring for Recent()
+  void* sink_ = nullptr;        // std::FILE*, kept opaque in the header
 };
 
 // Field helpers: EventFields entries with numeric formatting shared

@@ -1,6 +1,5 @@
 #include "obs/profile.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -40,7 +39,6 @@ void QueryProfile::MergeScanFrom(const QueryProfile& other) {
   cache_misses += other.cache_misses;
   cache_hit_bytes += other.cache_hit_bytes;
   cache_miss_bytes += other.cache_miss_bytes;
-  if (scan_engine.empty()) scan_engine = other.scan_engine;
   parallel_scan = parallel_scan || other.parallel_scan;
 }
 
@@ -49,43 +47,8 @@ double SignedCostErrorPct(double estimated_ms, double measured_ms) {
   return (measured_ms - estimated_ms) / measured_ms * 100.0;
 }
 
-double QueryProfile::CostErrorPct() const {
-  return std::abs(SignedCostErrorPct(estimated_cost_ms, measured_cost_ms));
-}
-
-std::string QueryProfile::ToJson() const {
-  std::string out = "{\"stages\":{";
-  for (std::size_t i = 0; i < kStageCount; ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + std::string(kStageNames[i]) +
-           "\":{\"ms\":" + FormatJsonNumber(stage_ms[i]) +
-           ",\"bytes\":" + std::to_string(stage_bytes[i]) + "}";
-  }
-  out += "},\"partitions_touched\":" + std::to_string(partitions_touched) +
-         ",\"partitions_skipped\":" + std::to_string(partitions_skipped) +
-         ",\"records_scanned\":" + std::to_string(records_scanned) +
-         ",\"blocks_scanned\":" + std::to_string(blocks_scanned) +
-         ",\"blocks_pruned\":" + std::to_string(blocks_pruned) +
-         ",\"partitions_zone_pruned\":" +
-         std::to_string(partitions_zone_pruned) +
-         ",\"scan_engine\":\"" + scan_engine + "\"" +
-         ",\"cache_hits\":" + std::to_string(cache_hits) +
-         ",\"cache_misses\":" + std::to_string(cache_misses) +
-         ",\"cache_hit_bytes\":" + std::to_string(cache_hit_bytes) +
-         ",\"cache_miss_bytes\":" + std::to_string(cache_miss_bytes) +
-         ",\"replica_index\":" + std::to_string(replica_index) +
-         ",\"attempts\":" + std::to_string(attempts) +
-         ",\"degraded\":" + (degraded ? "true" : "false") +
-         ",\"parallel_scan\":" + (parallel_scan ? "true" : "false") +
-         ",\"estimated_cost_ms\":" + FormatJsonNumber(estimated_cost_ms) +
-         ",\"measured_cost_ms\":" + FormatJsonNumber(measured_cost_ms) +
-         ",\"cost_error_pct\":" + FormatJsonNumber(CostErrorPct()) +
-         ",\"total_ms\":" + FormatJsonNumber(total_ms) + "}";
-  return out;
-}
-
 std::string QueryProfile::Render() const {
-  char buf[160];
+  char buf[256];
   std::string out;
   out += "stage            wall_ms      bytes\n";
   out += "--------------- -------- ----------\n";
@@ -112,30 +75,16 @@ std::string QueryProfile::Render() const {
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
-      "replica=%zu attempts=%u degraded=%s partitions=%llu/%llu "
-      "cache_hits=%llu cache_misses=%llu\n",
-      replica_index, attempts, degraded ? "yes" : "no",
+      "partitions=%llu/%llu cache_hits=%llu cache_misses=%llu\n"
+      "blocks=%llu scanned, %llu zone-pruned (+%llu whole partitions)\n",
       static_cast<unsigned long long>(partitions_touched),
       static_cast<unsigned long long>(partitions_touched +
                                       partitions_skipped),
       static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses));
-  out += buf;
-  if (blocks_scanned != 0 || blocks_pruned != 0 || !scan_engine.empty()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "engine=%s blocks=%llu scanned, %llu zone-pruned "
-        "(+%llu whole partitions)\n",
-        scan_engine.empty() ? "n/a" : scan_engine.c_str(),
-        static_cast<unsigned long long>(blocks_scanned),
-        static_cast<unsigned long long>(blocks_pruned),
-        static_cast<unsigned long long>(partitions_zone_pruned));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "estimated_cost=%.3f ms measured_cost=%.3f ms "
-                "error=%.1f%%\n",
-                estimated_cost_ms, measured_cost_ms, CostErrorPct());
+      static_cast<unsigned long long>(cache_misses),
+      static_cast<unsigned long long>(blocks_scanned),
+      static_cast<unsigned long long>(blocks_pruned),
+      static_cast<unsigned long long>(partitions_zone_pruned));
   out += buf;
   return out;
 }

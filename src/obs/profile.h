@@ -55,8 +55,8 @@ std::string_view StageName(Stage stage);
 
 // The cost model's error on one query: (measured - estimated) /
 // measured * 100, positive when the model underestimated; 0 when
-// unmeasured. The one definition behind QueryProfile::CostErrorPct, the
-// query.cost_error_pct histogram and the cost-drift windows.
+// unmeasured. The one definition behind the query.cost_error_pct
+// histogram, the cost-drift windows and blotctl --profile.
 double SignedCostErrorPct(double estimated_ms, double measured_ms);
 
 struct QueryProfile {
@@ -73,20 +73,13 @@ struct QueryProfile {
   std::uint64_t blocks_scanned = 0;          // blocked format: decoded blocks
   std::uint64_t blocks_pruned = 0;           // blocked format: zone-map skips
   std::uint64_t partitions_zone_pruned = 0;  // whole-partition zone skips
-  std::string scan_engine;                   // "scalar"/"sse4.2"/"avx2"
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_hit_bytes = 0;
   std::uint64_t cache_miss_bytes = 0;
 
-  // Routing outcome.
-  std::size_t replica_index = 0;
-  std::uint32_t attempts = 1;       // 1 = no failover
-  bool degraded = false;            // served by a non-first-choice replica
-  bool parallel_scan = false;       // sub-stage times are CPU, not wall
-  double estimated_cost_ms = 0.0;   // model's prediction for the winner
-  double measured_cost_ms = 0.0;    // observed execute time
-  double total_ms = 0.0;            // end-to-end wall time in the store
+  bool parallel_scan = false;  // sub-stage times are CPU, not wall
+  double total_ms = 0.0;       // end-to-end wall time in the store
 
   double stage(Stage s) const {
     return stage_ms[static_cast<std::size_t>(s)];
@@ -108,13 +101,9 @@ struct QueryProfile {
   // concurrently.
   void MergeScanFrom(const QueryProfile& other);
 
-  // |SignedCostErrorPct(estimated, measured)|.
-  double CostErrorPct() const;
-
-  // One JSON object (single line, no trailing newline).
-  std::string ToJson() const;
-
-  // Human-readable per-stage table for blotctl --profile.
+  // Human-readable per-stage table and scan shape for blotctl --profile.
+  // The routing outcome (replica, attempts, costs) lives in the store's
+  // RoutedResult, which carries this profile.
   std::string Render() const;
 };
 

@@ -23,7 +23,6 @@ struct ServeMetrics {
   obs::Counter& deadline_exceeded;
   obs::Counter& partial;
   obs::Gauge& queue_depth;
-  obs::Gauge& inflight_bytes;
   obs::Histogram& latency_ms;
 
   static ServeMetrics& Get() {
@@ -35,7 +34,6 @@ struct ServeMetrics {
                           r.GetCounter("serve.deadline_exceeded_total"),
                           r.GetCounter("serve.partial_total"),
                           r.GetGauge("serve.queue_depth"),
-                          r.GetGauge("serve.inflight_bytes"),
                           r.GetHistogram("serve.latency_ms")};
     return m;
   }
@@ -47,8 +45,7 @@ QueryServer::QueryServer(BlotStore& store, CostModel model,
                          ServerOptions options)
     : store_(store),
       model_(std::move(model)),
-      options_(options),
-      total_storage_bytes_(store.TotalStorageBytes()) {
+      options_(options) {
   require(options_.worker_threads >= 1,
           "QueryServer: need at least one request worker");
   require(options_.max_inflight >= 1,
@@ -58,22 +55,6 @@ QueryServer::QueryServer(BlotStore& store, CostModel model,
 }
 
 QueryServer::~QueryServer() { Drain(); }
-
-std::uint64_t QueryServer::EstimateBytes(const STRange& query) const {
-  const STRange& universe = store_.universe();
-  // Fractional coverage per dimension; a degenerate universe dimension
-  // (or a query spanning it fully) contributes factor 1.
-  auto fraction = [](double query_extent, double universe_extent) {
-    if (universe_extent <= 0.0) return 1.0;
-    return std::clamp(query_extent / universe_extent, 0.0, 1.0);
-  };
-  const double coverage = fraction(query.Width(), universe.Width()) *
-                          fraction(query.Height(), universe.Height()) *
-                          fraction(query.Duration(), universe.Duration());
-  // Floor at 1: even an empty-range query occupies a worker.
-  return std::max<std::uint64_t>(
-      1, std::uint64_t(coverage * double(total_storage_bytes_)));
-}
 
 double QueryServer::RetryAfterMs(std::size_t inflight) const {
   // Time for the backlog (plus the rejected query itself) to clear at
@@ -90,7 +71,6 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
   require(deadline_ms >= 0.0, "QueryServer::Submit: negative deadline");
   submitted_.fetch_add(1, std::memory_order_relaxed);
   auto& metrics = ServeMetrics::Get();
-  const std::uint64_t bytes = EstimateBytes(query);
   {
     std::unique_lock lock(admission_mutex_);
     if (draining_) {
@@ -100,13 +80,7 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
                             /*retry_after_ms=*/0.0, inflight_,
                             /*shutting_down=*/true);
     }
-    const bool over_count = inflight_ >= options_.max_inflight;
-    // The byte budget never blocks an otherwise-idle server: a query
-    // larger than the whole budget must still be runnable alone.
-    const bool over_bytes =
-        options_.max_inflight_bytes > 0 && inflight_ > 0 &&
-        inflight_bytes_ + bytes > options_.max_inflight_bytes;
-    if (over_count || over_bytes) {
+    if (inflight_ >= options_.max_inflight) {
       const std::size_t depth = inflight_;
       const double retry_ms = RetryAfterMs(depth);
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -115,20 +89,16 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
       auto& log = obs::EventLog::Global();
       if (log.enabled()) {
         log.Warn("serve", "query shed",
-                 {obs::Field("reason", over_count ? "inflight" : "bytes"),
-                  obs::Field("queue_depth", depth),
+                 {obs::Field("queue_depth", depth),
                   obs::Field("retry_after_ms", retry_ms)});
       }
       std::ostringstream what;
-      what << "QueryServer overloaded ("
-           << (over_count ? "inflight limit" : "byte budget")
-           << ", depth " << depth << "); retry after " << retry_ms << " ms";
+      what << "QueryServer overloaded (inflight limit, depth " << depth
+           << "); retry after " << retry_ms << " ms";
       throw OverloadedError(what.str(), retry_ms, depth);
     }
     ++inflight_;
-    inflight_bytes_ += bytes;
     metrics.queue_depth.Set(double(inflight_));
-    metrics.inflight_bytes.Set(double(inflight_bytes_));
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
   metrics.admitted.Increment();
@@ -139,8 +109,7 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
   const double effective_deadline =
       deadline_ms > 0.0 ? deadline_ms : options_.default_deadline_ms;
   const std::uint64_t admit_ns = obs::MonotonicNanos();
-  return request_pool_->Submit([this, query, bytes, effective_deadline,
-                                admit_ns] {
+  return request_pool_->Submit([this, query, effective_deadline, admit_ns] {
     const std::uint64_t start_ns = obs::MonotonicNanos();
     if (options_.simulate_io_ms > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
@@ -174,17 +143,17 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
         partial_.fetch_add(1, std::memory_order_relaxed);
         metrics.partial.Increment();
       }
-      FinishQuery(bytes, double(obs::MonotonicNanos() - start_ns) * 1e-6,
+      FinishQuery(double(obs::MonotonicNanos() - start_ns) * 1e-6,
                   /*failed=*/false);
       return result;
     } catch (const DeadlineExceededError&) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       metrics.deadline_exceeded.Increment();
-      FinishQuery(bytes, double(obs::MonotonicNanos() - start_ns) * 1e-6,
+      FinishQuery(double(obs::MonotonicNanos() - start_ns) * 1e-6,
                   /*failed=*/true);
       throw;
     } catch (...) {
-      FinishQuery(bytes, double(obs::MonotonicNanos() - start_ns) * 1e-6,
+      FinishQuery(double(obs::MonotonicNanos() - start_ns) * 1e-6,
                   /*failed=*/true);
       throw;
     }
@@ -196,8 +165,7 @@ BlotStore::RoutedResult QueryServer::Execute(const STRange& query,
   return Submit(query, deadline_ms).get();
 }
 
-void QueryServer::FinishQuery(std::uint64_t bytes, double latency_ms,
-                              bool failed) {
+void QueryServer::FinishQuery(double latency_ms, bool failed) {
   auto& metrics = ServeMetrics::Get();
   if (failed) {
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -211,9 +179,7 @@ void QueryServer::FinishQuery(std::uint64_t bytes, double latency_ms,
   {
     std::lock_guard lock(admission_mutex_);
     --inflight_;
-    inflight_bytes_ -= bytes;
     metrics.queue_depth.Set(double(inflight_));
-    metrics.inflight_bytes.Set(double(inflight_bytes_));
     // Single-writer-under-mutex EWMA: relaxed atomics are only for the
     // lock-free readers in RetryAfterMs and stats().
     const double prev = latency_ewma_ms_.load(std::memory_order_relaxed);
@@ -240,7 +206,6 @@ ServerStatsSnapshot QueryServer::stats() const {
   {
     std::lock_guard lock(admission_mutex_);
     snap.inflight = inflight_;
-    snap.inflight_bytes = inflight_bytes_;
   }
   return snap;
 }

@@ -8,9 +8,8 @@
 // scans its involved partitions on that worker.
 //
 // Admission control bounds what the server accepts rather than letting
-// the queue grow without limit: a query is admitted only while both the
-// in-flight count and the in-flight byte budget (estimated from the
-// query's coverage of the stored bytes) have room. Rejected queries get
+// the queue grow without limit: a query is admitted only while the
+// in-flight count has room. Rejected queries get
 // a structured OverloadedError carrying a retry-after hint derived from
 // the current backlog and the recent service rate — the caller sheds
 // load instead of timing out, and *admitted* queries keep their latency.
@@ -71,12 +70,6 @@ struct ServerOptions {
   // Admission ceiling on in-flight queries (admitted, not finished).
   // Must be >= 1.
   std::size_t max_inflight = 64;
-  // Admission ceiling on the summed byte estimates of in-flight
-  // queries; 0 disables the byte budget. A query's estimate is its
-  // fractional coverage of the universe times the store's total encoded
-  // bytes — crude, but monotone in the real decode work and free to
-  // compute before routing.
-  std::uint64_t max_inflight_bytes = 0;
   // Emulated storage round-trip per query, slept on the request worker
   // before execution. Models the remote-storage environments of the
   // paper (S3/HDFS) whose latency the local benches don't have; also
@@ -113,7 +106,6 @@ struct ServerStatsSnapshot {
   // `completed`; only possible with ServerOptions::allow_partial).
   std::uint64_t partial = 0;
   std::size_t inflight = 0;
-  std::uint64_t inflight_bytes = 0;
   double latency_ewma_ms = 0.0;
 };
 
@@ -135,7 +127,7 @@ class QueryServer {
   // the future of the query's RoutedResult (which may itself hold a
   // QueryFailedError etc. — admission is about capacity, not
   // correctness). Throws OverloadedError synchronously when the
-  // in-flight or byte budget is exhausted, or after Drain() began.
+  // in-flight limit is reached, or after Drain() began.
   //
   // `deadline_ms` overrides ServerOptions::default_deadline_ms for this
   // request (0 = use the default; the default itself may be 0 = none).
@@ -157,24 +149,19 @@ class QueryServer {
   void Drain();
 
  private:
-  // Coverage-proportional decode-byte estimate used by the admission
-  // byte budget.
-  std::uint64_t EstimateBytes(const STRange& query) const;
   // Backlog / service-rate derived client backoff hint.
   double RetryAfterMs(std::size_t inflight) const;
-  void FinishQuery(std::uint64_t bytes, double latency_ms, bool failed);
+  void FinishQuery(double latency_ms, bool failed);
 
   BlotStore& store_;
   const CostModel model_;
   const ServerOptions options_;
-  const std::uint64_t total_storage_bytes_;
   std::unique_ptr<ThreadPool> request_pool_;
 
   mutable std::mutex admission_mutex_;
   std::condition_variable drained_cv_;
-  std::size_t inflight_ = 0;             // guarded by admission_mutex_
-  std::uint64_t inflight_bytes_ = 0;     // guarded by admission_mutex_
-  bool draining_ = false;                // guarded by admission_mutex_
+  std::size_t inflight_ = 0;  // guarded by admission_mutex_
+  bool draining_ = false;     // guarded by admission_mutex_
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> admitted_{0};

@@ -12,15 +12,6 @@
 namespace blot::obs {
 namespace {
 
-QueryProfile ProfileWith(std::size_t replica, double estimated,
-                         double measured) {
-  QueryProfile p;
-  p.replica_index = replica;
-  p.estimated_cost_ms = estimated;
-  p.measured_cost_ms = measured;
-  return p;
-}
-
 std::size_t CountCategory(const EventLog& log, std::string_view category) {
   std::size_t n = 0;
   for (const Event& e : log.Recent(256))
@@ -36,7 +27,7 @@ TEST(CostDriftMonitorTest, RejectsDegenerateOptions) {
 
 TEST(CostDriftMonitorTest, IgnoresUnmeasuredProfiles) {
   CostDriftMonitor monitor;
-  monitor.Observe(ProfileWith(0, 1.0, 0.0));  // failed before execution
+  monitor.Observe(0, 1.0, 0.0);  // failed before execution
   EXPECT_EQ(monitor.StatsFor(0).samples, 0u);
   EXPECT_TRUE(monitor.AllStats().empty());
 }
@@ -44,9 +35,9 @@ TEST(CostDriftMonitorTest, IgnoresUnmeasuredProfiles) {
 TEST(CostDriftMonitorTest, TracksSignedAndAbsoluteErrorPerReplica) {
   CostDriftMonitor monitor;
   // Replica 0: model underestimates by 50% (measured 2x estimate).
-  monitor.Observe(ProfileWith(0, 1.0, 2.0));
+  monitor.Observe(0, 1.0, 2.0);
   // Replica 1: model overestimates by 100% of measured.
-  monitor.Observe(ProfileWith(1, 2.0, 1.0));
+  monitor.Observe(1, 2.0, 1.0);
 
   const auto r0 = monitor.StatsFor(0);
   EXPECT_EQ(r0.samples, 1u);
@@ -69,9 +60,9 @@ TEST(CostDriftMonitorTest, WindowSlidesAndForgets) {
                             .alert_error_pct = 25.0});
   // Fill the window with perfect predictions, then four bad ones: the
   // good samples must age out entirely.
-  for (int i = 0; i < 4; ++i) monitor.Observe(ProfileWith(0, 1.0, 1.0));
+  for (int i = 0; i < 4; ++i) monitor.Observe(0, 1.0, 1.0);
   EXPECT_DOUBLE_EQ(monitor.StatsFor(0).mean_abs_error_pct, 0.0);
-  for (int i = 0; i < 4; ++i) monitor.Observe(ProfileWith(0, 1.0, 2.0));
+  for (int i = 0; i < 4; ++i) monitor.Observe(0, 1.0, 2.0);
   const auto stats = monitor.StatsFor(0);
   EXPECT_EQ(stats.samples, 4u);
   EXPECT_DOUBLE_EQ(stats.mean_abs_error_pct, 50.0);
@@ -85,21 +76,21 @@ TEST(CostDriftMonitorTest, AlertsOnTransitionAndClearsOnRecovery) {
   CostDriftMonitor monitor({.window = 8, .min_samples = 2,
                             .alert_error_pct = 25.0});
   // Below min_samples: no alert no matter how wrong the model is.
-  monitor.Observe(ProfileWith(0, 1.0, 10.0));
+  monitor.Observe(0, 1.0, 10.0);
   EXPECT_FALSE(monitor.AnyAlerting());
   EXPECT_EQ(CountCategory(log, "cost_drift.alert"), 0u);
 
   // Second bad sample crosses min_samples and the threshold: exactly one
   // alert fires, and staying bad does not re-fire it.
-  monitor.Observe(ProfileWith(0, 1.0, 10.0));
+  monitor.Observe(0, 1.0, 10.0);
   EXPECT_TRUE(monitor.AnyAlerting());
   EXPECT_TRUE(monitor.StatsFor(0).alerting);
-  monitor.Observe(ProfileWith(0, 1.0, 10.0));
+  monitor.Observe(0, 1.0, 10.0);
   EXPECT_EQ(CountCategory(log, "cost_drift.alert"), 1u);
 
   // Flood with perfect predictions until the mean drops back under the
   // threshold: one clear event on the way down.
-  for (int i = 0; i < 8; ++i) monitor.Observe(ProfileWith(0, 1.0, 1.0));
+  for (int i = 0; i < 8; ++i) monitor.Observe(0, 1.0, 1.0);
   EXPECT_FALSE(monitor.AnyAlerting());
   EXPECT_EQ(CountCategory(log, "cost_drift.alert"), 1u);
   EXPECT_EQ(CountCategory(log, "cost_drift.clear"), 1u);
@@ -114,7 +105,7 @@ TEST(CostDriftMonitorTest, UpdatesGaugesWhenRegistryEnabled) {
   registry.set_enabled(true);
   CostDriftMonitor monitor({.window = 8, .min_samples = 1,
                             .alert_error_pct = 25.0});
-  monitor.Observe(ProfileWith(3, 1.0, 2.0));
+  monitor.Observe(3, 1.0, 2.0);
   registry.set_enabled(false);
 
   const MetricsSnapshot snap = registry.Snapshot();

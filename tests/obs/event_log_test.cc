@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.h"
@@ -28,6 +29,21 @@ std::vector<util::JsonValue> ReadJsonl(const std::string& path) {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+constexpr int kEmitters = 4;
+constexpr int kEventsPerEmitter = 200;
+
+// kEmitters threads emit kEventsPerEmitter events each into `log`.
+void EmitConcurrently(EventLog& log) {
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < kEmitters; ++t) {
+    emitters.emplace_back([&log, t] {
+      for (int i = 0; i < kEventsPerEmitter; ++i)
+        log.Info("stress", "event", {Field("thread", t), Field("i", i)});
+    });
+  }
+  for (std::thread& emitter : emitters) emitter.join();
 }
 
 TEST(EventSeverityTest, NamesRoundTrip) {
@@ -123,6 +139,31 @@ TEST(EventLogTest, ResetForTestClearsRingAndCounters) {
   log.Info("cat", "two");
   ASSERT_EQ(log.Recent().size(), 1u);
   EXPECT_EQ(log.Recent()[0].seq, 1u);  // sequence restarted
+}
+
+TEST(EventLogTest, ConcurrentEmittersReachTheSinkInSeqOrder) {
+  const std::string path = TempPath("event_log_test_order.jsonl");
+  std::remove(path.c_str());
+  EventLog log;
+  log.OpenSink(path);
+  EmitConcurrently(log);
+  log.CloseSink();
+  const std::vector<util::JsonValue> lines = ReadJsonl(path);
+  ASSERT_EQ(lines.size(), std::size_t{kEmitters * kEventsPerEmitter});
+  for (std::size_t i = 1; i < lines.size(); ++i)
+    ASSERT_GT(lines[i].At("seq").AsUint64(), lines[i - 1].At("seq").AsUint64())
+        << "line " << i;
+  std::remove(path.c_str());
+}
+
+TEST(EventLogTest, RecentKeepsEveryEventOfConcurrentEmitters) {
+  EventLog log;
+  log.set_enabled(true);
+  EmitConcurrently(log);
+  const std::vector<Event> recent = log.Recent(1000);
+  ASSERT_EQ(recent.size(), std::size_t{kEmitters * kEventsPerEmitter});
+  for (std::size_t i = 1; i < recent.size(); ++i)
+    EXPECT_EQ(recent[i].seq, recent[i - 1].seq + 1);
 }
 
 }  // namespace

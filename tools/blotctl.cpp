@@ -19,6 +19,7 @@
 //
 // Run `blotctl help` (or any command with missing flags) for usage.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -27,6 +28,7 @@
 #include "blot/aggregate.h"
 #include "blot/segment_store.h"
 #include "blot/trajectory.h"
+#include "codec/simd/dispatch.h"
 #include "core/advisor.h"
 #include "core/fault_injection.h"
 #include "core/partition_cache.h"
@@ -421,6 +423,24 @@ int CmdStoreBuild(const Flags& flags) {
   return 0;
 }
 
+// --profile's output: the profile's stage table and scan shape, then
+// the routing outcome from the query's record — which replica served it,
+// after how many attempts, on which scan engine, and how far the model's
+// estimate was from the measurement.
+void PrintProfile(const BlotStore::RoutedResult& routed) {
+  std::fputs(routed.profile.Render().c_str(), stdout);
+  std::printf("replica=%zu attempts=%zu degraded=%s engine=%s\n"
+              "estimated_cost=%.3f ms measured_cost=%.3f ms "
+              "error=%.1f%%\n",
+              routed.replica_index, routed.attempts,
+              routed.degraded ? "yes" : "no",
+              std::string(simd::ScanEngineName(simd::ActiveScanEngine()))
+                  .c_str(),
+              routed.estimated_cost_ms, routed.measured_cost_ms,
+              std::abs(obs::SignedCostErrorPct(routed.estimated_cost_ms,
+                                               routed.measured_cost_ms)));
+}
+
 // Fills `root` with the span tree of one routed query, rendered from its
 // record: the root carries the serving replica and both costs, `route`
 // the routing decision, and one `execute` child per attempt — the
@@ -545,8 +565,7 @@ int CmdStoreQuery(const Flags& flags) {
       const auto routed = futures[k].get();
       run_ms.push_back(routed.measured_cost_ms);
       if (k == 0) {
-        if (profile_requested)
-          std::fputs(routed.profile.Render().c_str(), stdout);
+        if (profile_requested) PrintProfile(routed);
         std::printf("routed to replica %zu (%s): %zu records\n",
                     routed.replica_index,
                     store.replica(routed.replica_index).config().Name().c_str(),
@@ -602,7 +621,7 @@ int CmdStoreQuery(const Flags& flags) {
     TraceRoutedQuery(store, routed, root);
     std::fputs(root.Render().c_str(), stdout);
   }
-  if (profile_requested) std::fputs(routed.profile.Render().c_str(), stdout);
+  if (profile_requested) PrintProfile(routed);
   std::printf("routed to replica %zu (%s), estimated %.1f s, "
               "measured %.2f ms\n",
               routed.replica_index,
