@@ -199,6 +199,38 @@ inline void EqualizeQueryContributions(SelectionInput& input) {
   }
 }
 
+// Figure 4's selection instance (bench/fig4_budget_sweep): the trimmed
+// candidate grid over a 15k-record sample standing for 10x the paper's
+// records (a 37 GB-scale dataset, where partition granularity matters
+// against S3's task-startup costs), S3/EMR costs and equal-contribution
+// weights. `base_budget` is 3 exact copies of the best single replica;
+// the sweep runs at kFig4RelativeBudgets times it.
+struct Fig4Instance {
+  SelectionInput input;
+  double base_budget = 0.0;
+};
+
+inline constexpr double kFig4RelativeBudgets[] = {
+    0.5, 0.625, 0.75, 0.875, 1.0, 1.25, 1.5, 1.75, 2.0};
+
+inline Fig4Instance MakeFig4Instance() {
+  const Dataset sample = MakeSample(15000);
+  const STRange universe = PaperUniverse();
+  const CostModel model{EnvironmentModel::AmazonS3Emr()};
+  const auto ratios =
+      MeasureCompressionRatios(sample, AllEncodingSchemes(), 15000);
+  CandidateMatrixResult matrix = BuildSelectionInputGrouped(
+      sample, universe, TrimmedPartitionings(), AllEncodingSchemes(), ratios,
+      10 * kPaperRecords, WildlyVariedWorkload(universe), model,
+      /*budget*/ 1.0);
+  EqualizeQueryContributions(matrix.input);
+  SelectionInput unconstrained = matrix.input;
+  unconstrained.budget_bytes = 1e18;
+  const double base_budget =
+      3.0 * SelectBestSingle(unconstrained).storage_used;
+  return {std::move(matrix.input), base_budget};
+}
+
 inline void PrintRule(char c = '-', int width = 78) {
   for (int i = 0; i < width; ++i) std::putchar(c);
   std::putchar('\n');

@@ -15,31 +15,12 @@
 using namespace blot;
 
 int main() {
-  const Dataset sample = bench::MakeSample(15000);
-  const STRange universe = bench::PaperUniverse();
-  const Workload workload = bench::WildlyVariedWorkload(universe);
-  const CostModel model{EnvironmentModel::AmazonS3Emr()};
-  const auto ratios =
-      MeasureCompressionRatios(sample, AllEncodingSchemes(), 15000);
-
-  // 37 GB-scale dataset: large enough that partition granularity matters
-  // against S3's task-startup costs.
-  const std::uint64_t total_records = 10 * bench::kPaperRecords;
-
-  CandidateMatrixResult matrix = BuildSelectionInputGrouped(
-      sample, universe, bench::TrimmedPartitionings(), AllEncodingSchemes(),
-      ratios, total_records, workload, model, /*budget*/ 1.0);
   // Equal-contribution weights: each grouped query matters equally in the
   // overall cost (w_i = 1 / its ideal cost), so the full-scan query does
   // not drown out the configuration-sensitive ones. See EXPERIMENTS.md.
-  bench::EqualizeQueryContributions(matrix.input);
-
-  // Base budget: 3 exact copies of the optimal single replica.
-  SelectionInput unconstrained = matrix.input;
-  unconstrained.budget_bytes = 1e18;
-  const SelectionResult best_single_any = SelectBestSingle(unconstrained);
-  const double base_budget = 3.0 * best_single_any.storage_used;
-  const double ideal = SelectIdeal(matrix.input).workload_cost;
+  const bench::Fig4Instance fig4 = bench::MakeFig4Instance();
+  const double base_budget = fig4.base_budget;
+  const double ideal = SelectIdeal(fig4.input).workload_cost;
 
   std::printf("Figure 4: relative overall query cost vs storage budget\n");
   std::printf("(base budget = 3 x optimal single replica = %.1f GB; costs "
@@ -51,9 +32,8 @@ int main() {
   bool mip_leads = true;
   bool mip_near_ideal_when_funded = true;
   double greedy_at_or_above_1 = 0.0;
-  for (const double relative :
-       {0.5, 0.625, 0.75, 0.875, 1.0, 1.25, 1.5, 1.75, 2.0}) {
-    SelectionInput instance = matrix.input;
+  for (const double relative : bench::kFig4RelativeBudgets) {
+    SelectionInput instance = fig4.input;
     instance.budget_bytes = base_budget * relative;
     const SelectionResult single = SelectBestSingle(instance);
     const SelectionResult greedy = SelectGreedy(instance);

@@ -1,5 +1,6 @@
 // Microbenchmarks for the auxiliary access paths: partition-index lookup
-// (bounding-box tree against a linear scan), trajectory retrieval (object-digest pruning),
+// (bounding-box tree against a linear scan), query routing over a diverse
+// replica set, trajectory retrieval (object-digest pruning),
 // shared-scan batch execution, segment-store persistence, and the fused
 // decode-filter kernels against naive decode-then-filter.
 #include <benchmark/benchmark.h>
@@ -7,6 +8,8 @@
 #include <filesystem>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "bench_common.h"
 #include "gbench_capture.h"
@@ -16,7 +19,9 @@
 #include "codec/columnar.h"
 #include "codec/simd/dispatch.h"
 #include "codec/simd/kernels.h"
+#include "core/store.h"
 #include "core/workload.h"
+#include "util/thread_pool.h"
 
 namespace blot {
 namespace {
@@ -81,6 +86,52 @@ void BM_IndexLookupLinear(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexLookupLinear)->Arg(1);
+
+// Routing on paper-mix's store (blotbench): 200k records in its three
+// diverse replicas, KD16xT256/ROW-SNAPPY, KD1024xT16/COL-GZIP and
+// KD64xT64/COL-LZMA. A q2 instance (city-wide, about an hour) involves
+// about a thousand KD1024xT16 partitions, which branch and bound stops
+// summing once they cannot beat KD16xT256; a q3 instance (tiny in every
+// dimension) involves a handful per replica. Arg: shape index into
+// bench::WildlyVariedWorkload (1 = q2, 2 = q3).
+const BlotStore& PaperMixStore() {
+  static const BlotStore store = [] {
+    TaxiFleetConfig config;
+    config.seed = 1;
+    config.num_taxis = 400;
+    config.samples_per_taxi = 500;
+    BlotStore built(GenerateTaxiFleet(config), config.Universe());
+    ThreadPool pool(4, "build");
+    for (const auto& [spatial, temporal, encoding] :
+         {std::tuple{16, 256, "ROW-SNAPPY"}, std::tuple{1024, 16, "COL-GZIP"},
+          std::tuple{64, 64, "COL-LZMA"}})
+      built.AddReplica({{.spatial_partitions = std::size_t(spatial),
+                         .temporal_partitions = std::size_t(temporal)},
+                        EncodingScheme::FromName(encoding)},
+                       &pool);
+    return built;
+  }();
+  return store;
+}
+
+void BM_RouteQuery(benchmark::State& state) {
+  const BlotStore& store = PaperMixStore();
+  const CostModel model{EnvironmentModel::LocalHadoop()};
+  const GroupedQuery& shape = bench::WildlyVariedWorkload(store.universe())
+                                  .queries()[std::size_t(state.range(0))]
+                                  .query;
+  Rng rng(3);
+  std::vector<STRange> queries;
+  for (int i = 0; i < 64; ++i)
+    queries.push_back(SampleQueryInstance(shape, store.universe(), rng));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        store.RouteQueryDetailed(queries[next], model));
+    next = (next + 1) % queries.size();
+  }
+}
+BENCHMARK(BM_RouteQuery)->Arg(1)->Arg(2);
 
 void BM_TrajectoryIndexBuild(benchmark::State& state) {
   ThreadPool pool(4);
@@ -376,6 +427,10 @@ void DeriveTracked(const CaptureReporter& reporter, BenchReport& report) {
         "BM_IndexLookupTimeSelective/1");
   ratio("batch_vs_sequential_speedup", "BM_SequentialGrid/8",
         "BM_BatchVsSequentialGrid/8");
+  // Routing a q2 over routing a q3: lower is better. With branch and
+  // bound it is about 8; walking every involved partition of losing
+  // candidates again puts it back at about 70.
+  ratio("route_q2_over_q3", "BM_RouteQuery/1", "BM_RouteQuery/2");
   // Scan-engine ratios: scalar over the best engine / unpruned over
   // pruned, runs of this same binary on the same data.
   ratio("simd_speedup_delta_decode", "BM_DecodeDeltaKernel/0/0",

@@ -12,8 +12,10 @@ comparison is stable across CI runner generations. Raw timings stay in
 the reports as untracked context.
 
 Direction is inferred from the metric name: names containing
-``overhead`` or ``error``, or ending in ``_pct``, are lower-is-better;
-everything else (speedups) is higher-is-better.
+``overhead``, ``error`` or ``_over_`` (a cost ratio such as
+``route_q2_over_q3``: the time of one case over another's), or ending in
+``_pct``, are lower-is-better; everything else (speedups) is
+higher-is-better.
 
 Usage:
     bench_tripwire.py BASELINE:CURRENT [BASELINE:CURRENT ...]
@@ -53,7 +55,12 @@ def tracked_metrics(report):
 
 
 def lower_is_better(name):
-    return "overhead" in name or "error" in name or name.endswith("_pct")
+    return (
+        "overhead" in name
+        or "error" in name
+        or "_over_" in name
+        or name.endswith("_pct")
+    )
 
 
 def compare(baseline_path, current_path, threshold_pct):

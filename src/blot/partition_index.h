@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "util/range.h"
@@ -38,7 +39,8 @@ class PartitionIndex {
   const std::vector<STRange>& ranges() const { return ranges_; }
 
   // Calls fn(partition) for every partition intersecting `query`, in
-  // ascending order, each exactly once. Allocates nothing.
+  // ascending order, each exactly once. `fn` may return bool: false ends
+  // the walk. Allocates nothing.
   template <typename Fn>
   void ForEachInvolved(const STRange& query, Fn&& fn) const;
 
@@ -69,6 +71,8 @@ class PartitionIndex {
 
 template <typename Fn>
 void PartitionIndex::ForEachInvolved(const STRange& query, Fn&& fn) const {
+  constexpr bool kStoppable =
+      std::is_same_v<std::invoke_result_t<Fn&, std::size_t>, bool>;
   if (boxes_.empty() || !boxes_[1].Intersects(query)) return;
   const std::size_t n = ranges_.size();
   const int height = std::countr_zero(leaves_);
@@ -88,9 +92,15 @@ void PartitionIndex::ForEachInvolved(const STRange& query, Fn&& fn) const {
       const int below = height - (std::bit_width(node) - 1);
       const std::size_t first = ((node << below) - leaves_) * kLeafSize;
       const std::size_t last = std::min(n, first + (kLeafSize << below));
-      for (std::size_t p = first; p < last; ++p)
-        if (contained ? !ranges_[p].empty() : ranges_[p].Intersects(query))
+      for (std::size_t p = first; p < last; ++p) {
+        if (contained ? ranges_[p].empty() : !ranges_[p].Intersects(query))
+          continue;
+        if constexpr (kStoppable) {
+          if (!fn(p)) return;
+        } else {
           fn(p);
+        }
+      }
       continue;
     }
     if (boxes_[2 * node + 1].Intersects(query)) stack[top++] = 2 * node + 1;

@@ -1,6 +1,7 @@
 #include "core/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.h"
@@ -57,7 +58,15 @@ CostModel::CostModel(const EnvironmentModel& environment) {
 }
 
 CostModel::CostModel(std::map<std::string, ScanCostParams> params_by_encoding)
-    : params_by_encoding_(std::move(params_by_encoding)) {}
+    : params_by_encoding_(std::move(params_by_encoding)) {
+  for (const auto& [encoding, params] : params_by_encoding_) {
+    require(params.scan_ms_per_krecord > 0 && params.extra_ms >= 0 &&
+                std::isfinite(params.scan_ms_per_krecord) &&
+                std::isfinite(params.extra_ms),
+            "CostModel: non-positive or non-finite parameters for " +
+                encoding);
+  }
+}
 
 const ScanCostParams& CostModel::Params(const EncodingScheme& scheme) const {
   const auto it = params_by_encoding_.find(scheme.Name());
@@ -89,7 +98,8 @@ double CostModel::QueryCostMs(const ReplicaSketch& replica,
 
 double CostModel::QueryCostMs(const ReplicaSketch& replica,
                               const STRange& query,
-                              std::size_t* involved) const {
+                              std::size_t* involved, double bound,
+                              double penalty) const {
   const ScanCostParams& p = Params(replica.config.encoding);
   double cost = 0.0;
   std::size_t count = 0;
@@ -98,6 +108,7 @@ double CostModel::QueryCostMs(const ReplicaSketch& replica,
                 p.scan_ms_per_krecord +
             p.extra_ms;
     ++count;
+    return !(cost * penalty > bound);
   });
   if (involved != nullptr) *involved = count;
   return cost;

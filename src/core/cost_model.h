@@ -21,6 +21,7 @@
 #ifndef BLOT_CORE_COST_MODEL_H_
 #define BLOT_CORE_COST_MODEL_H_
 
+#include <limits>
 #include <map>
 #include <string>
 
@@ -48,6 +49,9 @@ class CostModel {
   explicit CostModel(const EnvironmentModel& environment);
 
   // Parameters supplied explicitly (e.g. fitted by MeasureScanParams).
+  // Every rate must be positive and every ExtraTime non-negative, both
+  // finite: Eq. 6 terms are then non-negative, which the bounded
+  // QueryCostMs relies on. Throws InvalidArgument otherwise.
   explicit CostModel(
       std::map<std::string, ScanCostParams> params_by_encoding);
 
@@ -67,8 +71,17 @@ class CostModel {
   // one index walk, summing Eq. 6 over the involved partitions in
   // ascending order. When `involved` is non-null it receives Np(q, r)
   // from the same walk.
-  double QueryCostMs(const ReplicaSketch& replica, const STRange& query,
-                     std::size_t* involved = nullptr) const;
+  //
+  // Branch and bound: the walk stops as soon as cost * penalty > bound,
+  // and then returns the partial sum and partial Np. Eq. 6 terms are
+  // non-negative, so partial sums never decrease and a stopped walk's
+  // full cost * penalty exceeds `bound` too. With the default infinite
+  // bound the result is the full Eq. 7, bit for bit.
+  double QueryCostMs(
+      const ReplicaSketch& replica, const STRange& query,
+      std::size_t* involved = nullptr,
+      double bound = std::numeric_limits<double>::infinity(),
+      double penalty = 1.0) const;
 
   // Cost(W, R) = sum_i w_i * min_{r in R} Cost(q_i, r) over sketches.
   // Returns +infinity for an empty replica set.

@@ -146,6 +146,15 @@ SelectionResult SelectGreedy(const SelectionInput& input) {
   std::sort(result.chosen.begin(), result.chosen.end());
   result.workload_cost = SubsetWorkloadCost(input, result.chosen);
   result.storage_used = storage_used;
+  // Budgeted greedy by gain per byte can fill the budget with small
+  // replicas before the best single one fits; the standard guard keeps
+  // the better of the greedy set and the best single replica.
+  const SelectionResult single = SelectBestSingle(input);
+  if (single.workload_cost < result.workload_cost) {
+    result.chosen = single.chosen;
+    result.workload_cost = single.workload_cost;
+    result.storage_used = single.storage_used;
+  }
   result.solve_seconds = Seconds(start);
   auto& registry = obs::MetricsRegistry::global();
   if (registry.enabled()) {

@@ -8,7 +8,8 @@
 //
 // Solvers:
 //   SelectGreedy     — Algorithm 1: repeatedly add the replica maximizing
-//                      cost gain per storage byte.
+//                      cost gain per storage byte; returns that set or
+//                      the best single replica, whichever costs less.
 //   SelectMip        — the exact 0-1 MIP of Eq. 1-5 via branch and bound
 //                      (see mip_selection.h).
 //   SelectExhaustive — enumerate all subsets; ground truth for small m.
@@ -74,7 +75,8 @@ struct SelectionResult {
 double SubsetWorkloadCost(const SelectionInput& input,
                           std::span<const std::size_t> chosen);
 
-// Algorithm 1 (greedy by cost gain per storage byte).
+// Algorithm 1 (greedy by cost gain per storage byte), guarded by the
+// best single replica: never costs more than SelectBestSingle.
 SelectionResult SelectGreedy(const SelectionInput& input);
 
 // Brute force over all 2^m subsets; requires m <= 24.

@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -245,19 +246,26 @@ std::uint64_t BlotStore::TotalStorageBytes() const {
 }
 
 BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
-                                             const CostModel& model) const {
+                                             const CostModel& model,
+                                             bool bounded) const {
   Ranking out;
   // (adjusted cost, decision with the raw estimate): brownout penalties
   // steer the ordering but must not distort the reported estimate.
   std::vector<std::pair<double, RoutingDecision>> scored;
+  double best = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < sketches_.size(); ++i) {
     // Full replicas can serve anything; partial replicas only queries
     // entirely inside their coverage.
     if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
       continue;
     ++out.covering;
+    // Brownout: a replica whose observed reads run far slower than its
+    // peers' is deprioritized (not quarantined — slow is not corrupt).
+    const double penalty = latency_->BrownoutPenalty(i);
     std::size_t np = 0;  // the estimate's own walk counts Np
-    const double cost = model.QueryCostMs(sketches_[i], query, &np);
+    const double cost = model.QueryCostMs(
+        sketches_[i], query, &np,
+        bounded ? best : std::numeric_limits<double>::infinity(), penalty);
     const RoutingDecision decision{i, cost, np};
     std::vector<std::size_t> lost;
     if (!health_->AllOk(i)) {
@@ -265,22 +273,27 @@ BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
         if (health_->Get(i, p) == PartitionHealth::kQuarantined)
           lost.push_back(p);
     }
-    if (!out.fallback || lost.size() < out.lost.size() ||
-        (lost.size() == out.lost.size() &&
-         cost < out.fallback->estimated_cost_ms)) {
+    if (!bounded &&
+        (!out.fallback || lost.size() < out.lost.size() ||
+         (lost.size() == out.lost.size() &&
+          cost < out.fallback->estimated_cost_ms))) {
       out.fallback = decision;
       out.lost = lost;
     }
     if (!lost.empty()) continue;
-    // Brownout: a replica whose observed reads run far slower than its
-    // peers' is deprioritized (not quarantined — slow is not corrupt).
-    scored.push_back({cost * latency_->BrownoutPenalty(i), decision});
+    ++out.healthy;
+    const double score = cost * penalty;
+    if (bounded && score > best) continue;  // pruned, or complete and worse
+    best = std::min(best, score);
+    scored.push_back({score, decision});
   }
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first < b.first;
               return a.second.replica_index < b.second.replica_index;
             });
+  // Bounded, only the front is sure to be exact and in place.
+  if (bounded && scored.size() > 1) scored.resize(1);
   out.ranked.reserve(scored.size());
   for (auto& [adjusted, decision] : scored) out.ranked.push_back(decision);
   return out;
@@ -308,7 +321,7 @@ QueryFailedError BlotStore::UnservableError(const STRange& query) const {
 
 BlotStore::RoutingDecision BlotStore::BestCandidate(
     const STRange& query, const CostModel& model) const {
-  const Ranking ranking = RankCandidates(query, model);
+  const Ranking ranking = RankCandidates(query, model, /*bounded=*/true);
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
@@ -369,9 +382,10 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   using Clock = std::chrono::steady_clock;
   obs::EventLog& log = obs::EventLog::Global();
 
-  // Route once, under the same lock as the per-query policy snapshot
-  // (retunes never tear a query) and the replica names (naming an attempt
-  // never needs the store after the attempt was abandoned).
+  // Route by branch and bound, under the same lock as the per-query
+  // policy snapshot (retunes never tear a query) and the replica names
+  // (naming an attempt never needs the store after the attempt was
+  // abandoned).
   FailoverPolicy policy;
   Ranking ranking;
   std::vector<std::string> names;  // by replica index
@@ -379,7 +393,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   {
     std::shared_lock lock(sync_->state_mutex);
     policy = policy_;
-    ranking = RankCandidates(query, model);
+    ranking = RankCandidates(query, model, /*bounded=*/true);
     for (const Replica& rep : replicas_) names.push_back(rep.config().Name());
   }
   const std::size_t max_attempts =
@@ -389,7 +403,14 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
-  const std::vector<RoutingDecision>& ranked = ranking.ranked;
+  // The plan starts as the winner alone; the rest is ranked in full only
+  // when the first failover or hedge needs the next candidate.
+  std::vector<RoutingDecision> ranked = std::move(ranking.ranked);
+  const RoutingDecision first =
+      ranked.empty() ? RoutingDecision{} : ranked.front();
+  bool ranked_in_full = ranked.size() == ranking.healthy;
+  // Attempts on healthy candidates the budget allows.
+  const std::size_t budget = std::min(max_attempts, ranking.healthy);
 
   // One slot per launched attempt. The board is shared with the attempts
   // (a cancelled loser may still be writing its slot after the query
@@ -410,12 +431,12 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   };
   auto board = std::make_shared<Board>();
   // Every candidate the budget allows, plus the degraded scan.
-  board->slots.resize(std::min(max_attempts, ranked.size()) + 1);
+  board->slots.resize(budget + 1);
   std::size_t launched = 0;
   std::vector<std::size_t> running;  // launched, not yet collected
   // A hedge needs a second candidate and a budget to race it with.
   const bool hedging =
-      ctx.hedge_ms > 0.0 && ranked.size() >= 2 && max_attempts >= 2;
+      ctx.hedge_ms > 0.0 && ranking.healthy >= 2 && max_attempts >= 2;
   ScanOptions scan;
   scan.pool = pool;
 
@@ -466,12 +487,30 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   };
 
   // The next candidate worth an attempt: within the budget, before the
-  // deadline, and not quarantined since the ranking (an earlier attempt's
-  // fault may have hit a copy this candidate needs).
+  // deadline, not launched yet, and not quarantined since the ranking (an
+  // earlier attempt's fault may have hit a copy this candidate needs).
   std::size_t cursor = 0;
   auto next_candidate = [&]() -> const RoutingDecision* {
-    while (launched < max_attempts && cursor < ranked.size() &&
-           !ctx.cancel.ShouldStop()) {
+    while (launched < budget && !ctx.cancel.ShouldStop()) {
+      if (cursor == ranked.size()) {
+        if (ranked_in_full) return nullptr;
+        ranked_in_full = true;
+        Ranking full;
+        {
+          std::shared_lock lock(sync_->state_mutex);
+          full = RankCandidates(query, model, /*bounded=*/false);
+        }
+        ranked.clear();
+        cursor = 0;
+        for (const RoutingDecision& decision : full.ranked) {
+          const auto slots = board->slots.begin();
+          if (std::none_of(slots, slots + launched, [&](const Slot& slot) {
+                return slot.decision.replica_index == decision.replica_index;
+              }))
+            ranked.push_back(decision);
+        }
+        continue;
+      }
       const RoutingDecision& decision = ranked[cursor++];
       const std::size_t idx = decision.replica_index;
       if (!health_->AllOk(idx)) {
@@ -515,7 +554,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
         Ranking now;
         {
           std::shared_lock lock(sync_->state_mutex);
-          now = RankCandidates(query, model);
+          now = RankCandidates(query, model, /*bounded=*/false);
         }
         if (!now.fallback) break;
         excluded = std::move(now.lost);
@@ -595,10 +634,10 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     served = &board->slots[s].attempt;
     decision = board->slots[s].decision;
     degraded = s != 0 || exhausted;
-  } else if (ctx.cancel.DeadlineExpired() && !ranked.empty()) {
+  } else if (ctx.cancel.DeadlineExpired() && ranking.healthy > 0) {
     // A scan under the expired token reports every involved partition of
     // the best candidate missed.
-    decision = ranked.front();
+    decision = first;
     ScanOptions expired = scan;
     expired.cancel = &ctx.cancel;
     RunAttempt(query, decision.replica_index, expired, nothing);

@@ -340,14 +340,24 @@ class BlotStore {
   struct Ranking {
     std::vector<RoutingDecision> ranked;  // healthy candidates, best first
     std::size_t covering = 0;             // replicas able to serve at all
+    std::size_t healthy = 0;  // covering, no involved partition quarantined
     // The covering replica losing the fewest involved partitions to
-    // quarantine (ties: cheaper estimate), and those partitions.
+    // quarantine (ties: cheaper estimate), and those partitions. Set by
+    // the full ranking only.
     std::optional<RoutingDecision> fallback;
     std::vector<std::size_t> lost;
   };
 
   // Health-aware candidate ranking; no locking (callers hold state_mutex).
-  Ranking RankCandidates(const STRange& query, const CostModel& model) const;
+  // Bounded, it is routing's branch and bound: candidates are walked in
+  // index order, and a replica's Eq. 7 walk stops once its sum times its
+  // brownout penalty exceeds the best complete score so far. `ranked`
+  // then holds only the winner, bit-identical to the full ranking's
+  // front (pruned candidates are strictly worse). A replica's
+  // quarantined involvement is found by its own index walk, so bounding
+  // its estimate never hides a lost partition.
+  Ranking RankCandidates(const STRange& query, const CostModel& model,
+                         bool bounded) const;
   // The best healthy candidate for `query`: throws InvalidArgument when
   // no replica covers it and QueryFailedError when every covering one is
   // quarantined for it. No locking (callers hold state_mutex).

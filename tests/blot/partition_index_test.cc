@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "blot/partitioner.h"
 #include "core/workload.h"
 #include "gen/taxi_generator.h"
@@ -41,6 +44,19 @@ void ExpectMatchesBruteForce(const PartitionIndex& index,
   index.ForEachInvolved(query,
                         [&visited](std::size_t p) { visited.push_back(p); });
   ASSERT_EQ(visited, expected) << query;
+  // A bool callback ends the walk at its first false: the walk visits
+  // exactly the prefix up to and including that partition.
+  const std::size_t stop_after = std::max<std::size_t>(1, expected.size() / 2);
+  std::vector<std::size_t> prefix;
+  index.ForEachInvolved(query, [&](std::size_t p) {
+    prefix.push_back(p);
+    return prefix.size() < stop_after;
+  });
+  ASSERT_EQ(prefix, std::vector<std::size_t>(
+                        expected.begin(),
+                        expected.begin() + std::min(stop_after,
+                                                    expected.size())))
+      << query;
   ASSERT_EQ(index.InvolvedPartitions(query), expected) << query;
   ASSERT_EQ(index.CountInvolved(query), expected.size()) << query;
 }

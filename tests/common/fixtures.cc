@@ -1,8 +1,14 @@
 #include "common/fixtures.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/partition_cache.h"
+#include "core/workload.h"
 #include "gen/taxi_generator.h"
+#include "simenv/replica_sketch.h"
 #include "testing/oracle.h"
+#include "util/rng.h"
 
 namespace blot::test {
 
@@ -51,6 +57,44 @@ std::vector<std::size_t> CorruptInvolved(BlotStore& store,
     corrupted.push_back(p);
   }
   return corrupted;
+}
+
+std::vector<std::size_t> FullRanking(const BlotStore& store,
+                                     const CostModel& model,
+                                     const STRange& query) {
+  std::vector<std::pair<double, std::size_t>> scored;
+  for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
+    if (!store.IsFullReplica(r) &&
+        !store.replica(r).universe().Contains(query))
+      continue;
+    const ReplicaSketch sketch = ReplicaSketch::FromReplica(store.replica(r));
+    const std::vector<std::size_t> involved =
+        sketch.index.InvolvedPartitions(query);
+    if (store.health().AnyQuarantined(r, involved)) continue;
+    scored.push_back({model.QueryCostMs(sketch, query) *
+                          store.latency().BrownoutPenalty(r),
+                      r});
+  }
+  std::sort(scored.begin(), scored.end());
+  std::vector<std::size_t> ranking;
+  for (const auto& [score, r] : scored) ranking.push_back(r);
+  return ranking;
+}
+
+RankedQuery RunnersUpAgainstIndexOrder(const BlotStore& store,
+                                       const CostModel& model) {
+  const STRange& u = store.universe();
+  Rng rng(17);
+  for (int q = 0; q < 200; ++q) {
+    const GroupedQuery shape{{u.Width() * rng.NextDouble(0.05, 0.9),
+                              u.Height() * rng.NextDouble(0.05, 0.9),
+                              u.Duration() * rng.NextDouble(0.05, 0.9)}};
+    const STRange query = SampleQueryInstance(shape, u, rng);
+    std::vector<std::size_t> ranking = FullRanking(store, model, query);
+    if (ranking.size() == 3 && ranking[1] > ranking[2])
+      return {query, std::move(ranking)};
+  }
+  return {};
 }
 
 GlobalCacheGuard::GlobalCacheGuard(std::uint64_t budget) {

@@ -50,6 +50,26 @@ std::vector<std::size_t> CorruptInvolved(BlotStore& store,
                                          std::size_t replica,
                                          const STRange& query);
 
+// The store's full candidate ranking for `query`, computed the long way:
+// every covering replica with no quarantined involved partition, scored
+// by its Eq. 7 estimate times its brownout penalty, least score first,
+// ties to the lower index. Routing picks its front; failover and hedging
+// walk it in order.
+std::vector<std::size_t> FullRanking(const BlotStore& store,
+                                     const CostModel& model,
+                                     const STRange& query);
+
+// A query sampled over the store's universe (fixed seed) whose full
+// ranking has three candidates with the runners-up ranked against index
+// order, so the order failover and hedging follow is observable; empty
+// `ranking` when none of 200 samples qualifies.
+struct RankedQuery {
+  STRange query;
+  std::vector<std::size_t> ranking;
+};
+RankedQuery RunnersUpAgainstIndexOrder(const BlotStore& store,
+                                       const CostModel& model);
+
 // Scopes a configuration of the process-wide decoded-partition cache;
 // restores the disabled default (budget 0, stats reset) on destruction
 // so no other test in the binary observes it.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
 #include "core/mip_selection.h"
 #include "gen/taxi_generator.h"
 #include "util/error.h"
@@ -95,6 +96,20 @@ TEST(BuildSelectionInputGroupedTest, ColumnOrderIsPartitioningMajor) {
   EXPECT_EQ(grouped.configs[6].partitioning.Name(), "KD4xT4");
   EXPECT_EQ(grouped.configs[7].partitioning.Name(), "KD16xT8");
   EXPECT_EQ(grouped.configs[0].encoding, AllEncodingSchemes()[0]);
+}
+
+// Greedy never costs more than the best single replica, on every budget
+// of the Figure 4 sweep.
+TEST(GreedyVsSingleTest, Fig4BudgetSweepGrid) {
+  const bench::Fig4Instance fig4 = bench::MakeFig4Instance();
+  for (const double relative : bench::kFig4RelativeBudgets) {
+    SelectionInput instance = fig4.input;
+    instance.budget_bytes = fig4.base_budget * relative;
+    const SelectionResult greedy = SelectGreedy(instance);
+    EXPECT_LE(greedy.workload_cost, SelectBestSingle(instance).workload_cost)
+        << "relative budget " << relative;
+    EXPECT_LE(greedy.storage_used, instance.budget_bytes);
+  }
 }
 
 TEST(SelectMipTest, NodeLimitFallsBackToGreedyHonestly) {

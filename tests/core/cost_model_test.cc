@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "gen/taxi_generator.h"
@@ -173,6 +176,73 @@ TEST(CostModelTest, UsesMeasuredParamsWhenProvided) {
   EXPECT_NEAR(cost, expected, 1e-6);
   EXPECT_THROW(
       model.Params(EncodingScheme::FromName("COL-LZMA")), InvalidArgument);
+}
+
+TEST(CostModelTest, RejectsNegativeZeroRateAndNonFiniteParams) {
+  const auto make = [](double scan_ms_per_krecord, double extra_ms) {
+    std::map<std::string, ScanCostParams> params;
+    params["ROW-GZIP"] = {scan_ms_per_krecord, extra_ms};
+    return CostModel(std::move(params));
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make(-1.0, 10.0), InvalidArgument);
+  EXPECT_THROW(make(1.0, -10.0), InvalidArgument);
+  EXPECT_THROW(make(0.0, 10.0), InvalidArgument);
+  EXPECT_THROW(make(nan, 10.0), InvalidArgument);
+  EXPECT_THROW(make(1.0, nan), InvalidArgument);
+  EXPECT_THROW(make(inf, 10.0), InvalidArgument);
+  EXPECT_THROW(make(1.0, inf), InvalidArgument);
+  // Zero ExtraTime is allowed: Eq. 6 stays non-negative.
+  EXPECT_NO_THROW(make(1.0, 0.0));
+}
+
+TEST(CostModelTest, BoundedCostStopsOnceTheBoundIsCrossed) {
+  const Fixture f;
+  const CostModel model(EnvironmentModel::LocalHadoop());
+  std::size_t full_np = 0;
+  const double full = model.QueryCostMs(f.sketch, f.universe, &full_np);
+  ASSERT_GT(full_np, 2u);
+
+  // Past half the full cost the walk stops: the partial sum exceeds the
+  // bound and counts fewer partitions than the full walk.
+  std::size_t np = 0;
+  const double half = model.QueryCostMs(f.sketch, f.universe, &np, full / 2);
+  EXPECT_GT(half, full / 2);
+  EXPECT_LT(half, full);
+  EXPECT_GT(np, 0u);
+  EXPECT_LT(np, full_np);
+
+  // The bound is compared against cost * penalty: a penalty of 4 crosses
+  // a bound of the full cost a quarter of the way in.
+  const double penalized =
+      model.QueryCostMs(f.sketch, f.universe, &np, full, 4.0);
+  EXPECT_GT(penalized * 4.0, full);
+  EXPECT_LT(np, full_np);
+
+  // A bound the full cost does not exceed changes nothing; an infinite
+  // bound equals the unbounded call bit for bit.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                model.QueryCostMs(f.sketch, f.universe, &np, full)),
+            std::bit_cast<std::uint64_t>(full));
+  EXPECT_EQ(np, full_np);
+  Rng rng(31);
+  for (int trial = 0; trial < 50; ++trial) {
+    const RangeSize size = {
+        f.universe.Width() * rng.NextDouble(0.01, 1.0),
+        f.universe.Height() * rng.NextDouble(0.01, 1.0),
+        f.universe.Duration() * rng.NextDouble(0.01, 1.0)};
+    const STRange query = SampleQueryInstance({size}, f.universe, rng);
+    std::size_t unbounded_np = 0;
+    std::size_t inf_np = 0;
+    const double unbounded = model.QueryCostMs(f.sketch, query, &unbounded_np);
+    const double inf_bound = model.QueryCostMs(
+        f.sketch, query, &inf_np, std::numeric_limits<double>::infinity(),
+        8.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(inf_bound),
+              std::bit_cast<std::uint64_t>(unbounded));
+    EXPECT_EQ(inf_np, unbounded_np);
+  }
 }
 
 TEST(CostModelTest, WorkloadCostIsWeightedBestReplicaSum) {

@@ -475,6 +475,40 @@ TEST_F(FailoverTest, ChaosCampaignPreservesResultEquivalence) {
   }
 }
 
+// Routing prunes losing candidates, so only the winner is ranked before
+// the first attempt; the rest are ranked when the first failover needs
+// them. Failover must still walk the full ranking, not index order: a
+// fault on the winner is served by the full ranking's second, and faults
+// on the first two by its third.
+TEST_F(FailoverTest, FailoverFollowsTheFullRanking) {
+  const test::RankedQuery ranked =
+      test::RunnersUpAgainstIndexOrder(MakeStore(3), model);
+  ASSERT_EQ(ranked.ranking.size(), 3u);
+  const STRange& query = ranked.query;
+  const std::vector<std::size_t>& ranking = ranked.ranking;
+  const std::vector<Record> truth = Sorted(dataset.FilterByRange(query));
+
+  for (std::size_t faulty = 1; faulty <= 2; ++faulty) {
+    SCOPED_TRACE("faulty replicas: " + std::to_string(faulty));
+    BlotStore store = MakeStore(3);
+    FailoverPolicy policy;
+    policy.repair = RepairMode::kNone;
+    store.SetFailoverPolicy(policy);
+    ASSERT_EQ(store.RouteQuery(query, model), ranking[0]);
+    for (std::size_t i = 0; i < faulty; ++i)
+      ASSERT_FALSE(CorruptInvolved(store, ranking[i], query).empty());
+
+    const BlotStore::RoutedResult routed = store.Execute(query, model);
+    EXPECT_EQ(routed.replica_index, ranking[faulty]);
+    EXPECT_EQ(Sorted(routed.result.records), truth);
+    ASSERT_EQ(routed.attempt_log.size(), faulty + 1);
+    for (std::size_t i = 0; i <= faulty; ++i) {
+      EXPECT_EQ(routed.attempt_log[i].replica_index, ranking[i]);
+      EXPECT_EQ(routed.attempt_log[i].success, i == faulty);
+    }
+  }
+}
+
 TEST_F(FailoverTest, SurvivesFaultsInAllButOneReplica) {
   BlotStore store = MakeStore(3);
   const STRange query = CentroidQuery(0.3);

@@ -178,6 +178,35 @@ TEST(HedgingTest, SlowPrimaryTriggersBackupThatWins) {
   EXPECT_EQ(routed.attempt_log[1].replica_index, routed.replica_index);
 }
 
+// Routing ranks only the winner before the first attempt; the hedge
+// ranks the rest. The backup must be the full ranking's second, not the
+// next replica in index order.
+TEST(HedgingTest, BackupIsTheFullRankingsSecond) {
+  const TaxiFixture fixture;
+  BlotStore store =
+      test::MakeStandardStore(fixture.dataset, fixture.universe, 3);
+  const test::RankedQuery ranked =
+      test::RunnersUpAgainstIndexOrder(store, Model());
+  ASSERT_EQ(ranked.ranking.size(), 3u);
+  const STRange& query = ranked.query;
+  const std::vector<std::size_t>& ranking = ranked.ranking;
+  const std::vector<Record> expected =
+      Sorted(store.Execute(query, Model()).result.records);
+
+  const ScopedInjector injector(
+      StallPlan(60.0, store.replica(ranking[0]).config().Name()));
+  BlotStore::ExecOptions exec;
+  exec.hedge_ms = 10.0;
+  const BlotStore::RoutedResult routed = store.Execute(query, Model(), exec);
+  EXPECT_TRUE(routed.hedged);
+  EXPECT_TRUE(routed.hedge_backup_won);
+  EXPECT_EQ(routed.replica_index, ranking[1]);
+  EXPECT_EQ(Sorted(routed.result.records), expected);
+  ASSERT_EQ(routed.attempt_log.size(), 2u);
+  EXPECT_EQ(routed.attempt_log[0].replica_index, ranking[0]);
+  EXPECT_EQ(routed.attempt_log[1].replica_index, ranking[1]);
+}
+
 TEST(HedgingTest, HedgedResultsStayBitIdenticalWithoutFaults) {
   const TaxiFixture fixture;
   Dataset dataset = fixture.dataset;

@@ -233,6 +233,30 @@ TEST(GreedyPropertyTest, BudgetAndDeterminismOnRandomInstances) {
   }
 }
 
+TEST(GreedyPropertyTest, NeverWorseThanBestSingleOnRandomInstances) {
+  Rng rng(107);
+  for (int t = 0; t < 200; ++t) {
+    const SelectionInput input =
+        RandomInstance(rng, 1 + rng.NextUint64(8), 2 + rng.NextUint64(10));
+    const SelectionResult greedy = SelectGreedy(input);
+    const SelectionResult single = SelectBestSingle(input);
+    EXPECT_LE(greedy.workload_cost, single.workload_cost) << "trial " << t;
+    EXPECT_LE(greedy.storage_used, input.budget_bytes + 1e-9);
+  }
+}
+
+TEST(GreedyTest, FallsBackToBestSingleWhenSmallReplicasCrowdItOut) {
+  // r0 and r1 are cheap per byte but each good for one query; r2 is
+  // decent everywhere. Greedy by gain per byte takes r0 and r1, which
+  // leaves no room for r2: {r0, r1} costs 1 + 1 + 50 = 52, {r2} alone 30.
+  SelectionInput input = TinyInstance(25);
+  input.storage_bytes = {10, 10, 24};
+  const SelectionResult greedy = SelectGreedy(input);
+  EXPECT_EQ(greedy.chosen, std::vector<std::size_t>{2});
+  EXPECT_DOUBLE_EQ(greedy.workload_cost, 30.0);
+  EXPECT_DOUBLE_EQ(greedy.storage_used, 24.0);
+}
+
 TEST(GreedyPropertyTest, AddingCandidatesNeverHurtsIdeal) {
   // SelectIdeal over a superset of candidates is at least as good —
   // sanity for the monotone structure the selectors rely on.
