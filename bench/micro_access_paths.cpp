@@ -16,9 +16,6 @@
 #include "blot/batch.h"
 #include "blot/segment_store.h"
 #include "blot/trajectory.h"
-#include "codec/columnar.h"
-#include "codec/simd/dispatch.h"
-#include "codec/simd/kernels.h"
 #include "core/store.h"
 #include "core/workload.h"
 #include "util/thread_pool.h"
@@ -230,7 +227,8 @@ BENCHMARK(BM_SegmentStoreLoad);
 // --- Fused decode-filter vs naive decode-then-filter -------------------
 //
 // One encoded partition, queries of varying selectivity. The naive path
-// materializes every record and filters afterwards; the fused path
+// materializes every record (the same block decoders, run with no range)
+// and filters afterwards; the fused path
 // filters during deserialization — for columns it decodes the x/y/t
 // coordinate columns first and touches attribute columns only for
 // matches, for rows it skips the attribute bytes of non-matching rows.
@@ -291,69 +289,8 @@ BENCHMARK(BM_ScanNaiveDecodeThenFilter) FUSED_ARGS;
 BENCHMARK(BM_ScanFusedDecodeFilter) FUSED_ARGS;
 #undef FUSED_ARGS
 
-// --- Vectorized scan engine ---------------------------------------------
+// --- Zone-map block pruning ---------------------------------------------
 //
-// Kernel-level scalar-vs-SIMD ratios and blocked-scan pruned-vs-unpruned
-// ratios. Arg 0 selects the engine (0 = scalar, 1 = the best engine this
-// binary + CPU supports) or the pruning mode (0 = off, 1 = on); ratios
-// between the two runs of the same binary are machine-independent.
-
-simd::ScanEngine BenchEngine(std::int64_t arg) {
-  return arg == 0 ? simd::ScanEngine::kScalar : simd::DetectScanEngine();
-}
-
-// Args: {engine, column}. Column 0 is the partition's oid column —
-// records are grouped per object, so its deltas are almost all zero:
-// the dense single-byte-varint shape the vector fast path targets, and
-// the tracked ratio. Column 1 is the time column, whose multi-byte
-// deltas mostly fall back to the scalar step — kept as untracked
-// context so a fast-path regression can't hide behind the mixed shape.
-void BM_DecodeDeltaKernel(benchmark::State& state) {
-  const simd::ScanEngine engine = BenchEngine(state.range(0));
-  std::vector<std::int64_t> values;
-  for (const Record& r : PartitionRecords())
-    values.push_back(state.range(1) == 0 ? std::int64_t(r.oid) : r.time);
-  ByteWriter writer;
-  EncodeDeltaColumn(writer, values);
-  const Bytes data = writer.buffer();
-  std::vector<std::int64_t> out(values.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::DecodeZigZagDeltaI64(
-        engine, data.data(), data.data() + data.size(), out.data(),
-        out.size()));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetLabel(std::string(simd::ScanEngineName(engine)) +
-                 (state.range(1) == 0 ? "/oid" : "/time"));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * data.size()));
-}
-BENCHMARK(BM_DecodeDeltaKernel)
-    ->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
-
-void BM_FilterRangeKernel(benchmark::State& state) {
-  const simd::ScanEngine engine = BenchEngine(state.range(0));
-  std::vector<double> xs, ys, ts;
-  for (const Record& r : PartitionRecords()) {
-    xs.push_back(r.x);
-    ys.push_back(r.y);
-    ts.push_back(static_cast<double>(r.time));
-  }
-  const STRange q = SelectQuery(10);
-  const double bounds[6] = {q.x_min(), q.x_max(), q.y_min(),
-                            q.y_max(), q.t_min(), q.t_max()};
-  std::vector<std::uint64_t> bitmap((xs.size() + 63) / 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::FilterRangeBitmap(
-        engine, xs.data(), ys.data(), ts.data(), xs.size(), bounds,
-        bitmap.data()));
-    benchmark::DoNotOptimize(bitmap.data());
-  }
-  state.SetLabel(std::string(simd::ScanEngineName(engine)));
-  state.counters["records"] = static_cast<double>(xs.size());
-}
-BENCHMARK(BM_FilterRangeKernel)->Arg(0)->Arg(1);
-
 // Blocked scan with the zone map on/off over time-sorted, uncompressed
 // partitions and a 10% time window: sorted data gives blocks tight
 // disjoint time zones, and no codec keeps decode (the work pruning
@@ -431,12 +368,7 @@ void DeriveTracked(const CaptureReporter& reporter, BenchReport& report) {
   // bound it is about 8; walking every involved partition of losing
   // candidates again puts it back at about 70.
   ratio("route_q2_over_q3", "BM_RouteQuery/1", "BM_RouteQuery/2");
-  // Scan-engine ratios: scalar over the best engine / unpruned over
-  // pruned, runs of this same binary on the same data.
-  ratio("simd_speedup_delta_decode", "BM_DecodeDeltaKernel/0/0",
-        "BM_DecodeDeltaKernel/1/0");
-  ratio("simd_speedup_range_filter", "BM_FilterRangeKernel/0",
-        "BM_FilterRangeKernel/1");
+  // Unpruned over pruned, runs of this same binary on the same data.
   ratio("zonemap_prune_speedup_row_10pct", "BM_ScanBlockedZoneMap/0/10",
         "BM_ScanBlockedZoneMap/1/10");
 }

@@ -5,7 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "codec/simd/dispatch.h"
+#include "blot/layout.h"
+
 
 namespace blot {
 
@@ -20,7 +21,7 @@ BatchResult ExecuteBatch(const Replica& replica,
   // partitions its own Execute would scan. `slot` maps a partition id to
   // its position in the compact `work` list, so the inversion stays
   // O(total involvement) without an ordered map's node allocations.
-  const bool prune = simd::ZoneMapPruningEnabled();
+  const bool prune = ZoneMapPruningEnabled();
   constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> slot(replica.NumPartitions(), kUnseen);
   std::vector<std::pair<std::size_t, std::vector<std::size_t>>> work;

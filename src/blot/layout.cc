@@ -1,12 +1,11 @@
 #include "blot/layout.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "codec/columnar.h"
-#include "codec/simd/dispatch.h"
-#include "codec/simd/kernels.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -32,8 +31,9 @@ Layout LayoutFromName(std::string_view name) {
 namespace {
 
 // ---------------------------------------------------------------------
-// Chunk coders: one contiguous run of records, no count prefix. Each
-// block is one chunk, with every transform restarted.
+// Chunk encoders: one contiguous run of records, no count prefix. Each
+// block is one chunk, with every transform restarted. The matching
+// decoders are the block decoders below the block stream.
 // ---------------------------------------------------------------------
 
 void EncodeRowChunk(ByteWriter& w, std::span<const Record> records) {
@@ -48,25 +48,6 @@ void EncodeRowChunk(ByteWriter& w, std::span<const Record> records) {
     w.PutU8(r.passengers);
     w.PutU32(r.fare_cents);
   }
-}
-
-std::vector<Record> DeserializeRows(ByteReader& in, std::size_t count) {
-  std::vector<Record> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Record r;
-    r.oid = in.GetU32();
-    r.time = in.GetI64();
-    r.x = in.GetF64();
-    r.y = in.GetF64();
-    r.speed = in.GetF32();
-    r.heading = in.GetU16();
-    r.status = in.GetU8();
-    r.passengers = in.GetU8();
-    r.fare_cents = in.GetU32();
-    records.push_back(r);
-  }
-  return records;
 }
 
 void EncodeColumnChunk(ByteWriter& w, std::span<const Record> records) {
@@ -98,66 +79,6 @@ void EncodeColumnChunk(ByteWriter& w, std::span<const Record> records) {
 
   for (std::size_t i = 0; i < n; ++i) ints[i] = records[i].fare_cents;
   EncodeDeltaColumn(w, ints);
-}
-
-std::vector<Record> DeserializeColumns(ByteReader& in, std::size_t count) {
-  std::vector<Record> records(count);
-  const auto oids = DecodeDeltaColumn(in, count);
-  const auto times = DecodeDeltaColumn(in, count);
-  const auto xs = DecodeAdaptiveDoubleColumn(in, count);
-  const auto ys = DecodeAdaptiveDoubleColumn(in, count);
-  const auto speeds = DecodeF32Column(in, count);
-  const auto headings = DecodeDeltaColumn(in, count);
-  const auto statuses = DecodeRleColumn(in, count);
-  const auto passengers = DecodeRleColumn(in, count);
-  const auto fares = DecodeDeltaColumn(in, count);
-  for (std::size_t i = 0; i < count; ++i) {
-    validate(oids[i] >= 0 && oids[i] <= 0xFFFFFFFFll,
-             "DeserializeColumns: oid out of range");
-    validate(headings[i] >= 0 && headings[i] <= 0xFFFFll,
-             "DeserializeColumns: heading out of range");
-    validate(fares[i] >= 0 && fares[i] <= 0xFFFFFFFFll,
-             "DeserializeColumns: fare out of range");
-    records[i].oid = static_cast<std::uint32_t>(oids[i]);
-    records[i].time = times[i];
-    records[i].x = xs[i];
-    records[i].y = ys[i];
-    records[i].speed = speeds[i];
-    records[i].heading = static_cast<std::uint16_t>(headings[i]);
-    records[i].status = statuses[i];
-    records[i].passengers = passengers[i];
-    records[i].fare_cents = static_cast<std::uint32_t>(fares[i]);
-  }
-  return records;
-}
-
-// Streaming row filter: rows are fixed-width, so non-matching rows skip
-// their 12 attribute bytes (speed, heading, status, passengers, fare)
-// without parsing them.
-std::vector<Record> ScanRowsInRange(ByteReader& in, std::size_t count,
-                                    const STRange& range) {
-  constexpr std::size_t kAttributeBytes = 4 + 2 + 1 + 1 + 4;
-  validate(in.remaining() == count * kRecordRowBytes,
-           "ScanRowsInRange: row payload size mismatch");
-  std::vector<Record> matches;
-  for (std::size_t i = 0; i < count; ++i) {
-    Record r;
-    r.oid = in.GetU32();
-    r.time = in.GetI64();
-    r.x = in.GetF64();
-    r.y = in.GetF64();
-    if (!range.Contains(r.Position())) {
-      in.GetBytes(kAttributeBytes);
-      continue;
-    }
-    r.speed = in.GetF32();
-    r.heading = in.GetU16();
-    r.status = in.GetU8();
-    r.passengers = in.GetU8();
-    r.fare_cents = in.GetU32();
-    matches.push_back(r);
-  }
-  return matches;
 }
 
 // ---------------------------------------------------------------------
@@ -258,11 +179,44 @@ void WalkBlocks(ByteReader& in, std::uint64_t total, const STRange* prune,
   validate(in.AtEnd(), "WalkBlocks: trailing bytes");
 }
 
+// ---------------------------------------------------------------------
+// Block decoders: one per layout, shared by the full decode and range
+// scans.
+// ---------------------------------------------------------------------
+
+// Row blocks are fixed-width, so a row that `range` rejects skips its 12
+// attribute bytes (speed, heading, status, passengers, fare) without
+// parsing them. A null `range` keeps every row.
+void ScanRowBlock(BytesView body, std::size_t n, const STRange* range,
+                  std::vector<Record>& out) {
+  constexpr std::size_t kAttributeBytes = 4 + 2 + 1 + 1 + 4;
+  validate(body.size() == n * kRecordRowBytes,
+           "ScanRowBlock: row payload size mismatch");
+  ByteReader in(body);
+  for (std::size_t i = 0; i < n; ++i) {
+    Record r;
+    r.oid = in.GetU32();
+    r.time = in.GetI64();
+    r.x = in.GetF64();
+    r.y = in.GetF64();
+    if (range != nullptr && !range->Contains(r.Position())) {
+      in.GetBytes(kAttributeBytes);
+      continue;
+    }
+    r.speed = in.GetF32();
+    r.heading = in.GetU16();
+    r.status = in.GetU8();
+    r.passengers = in.GetU8();
+    r.fare_cents = in.GetU32();
+    out.push_back(r);
+  }
+}
+
 // Reusable per-scan decode buffers: one set per partition scan, so block
 // iteration does not allocate.
 struct ColumnScratch {
-  std::vector<std::int64_t> oids, times, ints, headings, fares;
-  std::vector<double> xs, ys, ts;
+  std::vector<std::int64_t> oids, times, headings, fares;
+  std::vector<double> xs, ys;
   std::vector<float> speeds;
   std::vector<std::uint8_t> statuses, passengers;
   std::vector<std::uint64_t> bitmap;
@@ -270,12 +224,10 @@ struct ColumnScratch {
   void Resize(std::size_t n) {
     oids.resize(n);
     times.resize(n);
-    ints.resize(n);
     headings.resize(n);
     fares.resize(n);
     xs.resize(n);
     ys.resize(n);
-    ts.resize(n);
     speeds.resize(n);
     statuses.resize(n);
     passengers.resize(n);
@@ -283,108 +235,122 @@ struct ColumnScratch {
   }
 };
 
-// Kernel-based inverse of EncodeAdaptiveDoubleColumn for one chunk.
-// Mode bytes mirror codec/columnar.cc: 0 = XOR, 1 = quantized.
-std::size_t DecodeAdaptiveChunk(simd::ScanEngine engine,
-                                const std::uint8_t* p,
-                                const std::uint8_t* end, double* out,
-                                std::size_t n,
-                                std::vector<std::int64_t>& tmp) {
-  validate(p < end, "ByteReader: truncated input");
-  const std::uint8_t mode = *p;
-  if (mode == 0) return 1 + simd::DecodeXorF64(engine, p + 1, end, out, n);
-  validate(mode == 1, "DecodeAdaptiveDoubleColumn: unknown mode");
-  validate(static_cast<std::size_t>(end - p) >= 9,
-           "ByteReader: truncated input");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i)
-    bits |= static_cast<std::uint64_t>(p[1 + i]) << (8 * i);
-  const double denominator = std::bit_cast<double>(bits);
-  validate(denominator > 0, "DecodeAdaptiveDoubleColumn: bad denominator");
-  std::size_t consumed =
-      9 + simd::DecodeZigZagDeltaI64(engine, p + 9, end, tmp.data(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<double>(tmp[i]) / denominator;
-  return consumed;
+// Sets bit i of `bitmap` (little-endian 64-bit words, zeroed here up to
+// ceil(count/64) words) iff record i lies in `range`, with the closed
+// compares of STRange::Contains: NaN coordinates never match and the
+// empty range matches nothing. Returns the match count.
+std::size_t FilterRangeBitmap(const STRange& range, const double* xs,
+                              const double* ys, const std::int64_t* times,
+                              std::size_t count, std::uint64_t* bitmap) {
+  std::fill(bitmap, bitmap + (count + 63) / 64, 0);
+  if (range.empty()) return 0;
+  const double x_min = range.x_min(), x_max = range.x_max();
+  const double y_min = range.y_min(), y_max = range.y_max();
+  const double t_min = range.t_min(), t_max = range.t_max();
+  std::size_t matches = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double t = static_cast<double>(times[i]);
+    const bool hit = xs[i] >= x_min && xs[i] <= x_max && ys[i] >= y_min &&
+                     ys[i] <= y_max && t >= t_min && t <= t_max;
+    bitmap[i >> 6] |= static_cast<std::uint64_t>(hit) << (i & 63);
+    matches += hit;
+  }
+  return matches;
 }
 
-// Vectorized fused scan of one column block: decode core columns through
-// the engine's kernels, build the selection bitmap, and parse the
-// attribute columns only when something matched (their bytes are skipped
-// wholesale otherwise — the block payload is length-prefixed).
-void ScanColumnBlock(BytesView body, std::size_t n, const STRange& range,
-                     simd::ScanEngine engine, ColumnScratch& s,
-                     std::vector<Record>& out) {
+// Decodes one column block and appends the records `range` keeps (every
+// record when `range` is null). A range scan decodes the core columns
+// (oid, time, x, y) first, builds the selection bitmap, and parses the
+// attribute columns only when something matched; their bytes are skipped
+// wholesale otherwise, since the block payload is length-prefixed.
+void ScanColumnBlock(BytesView body, std::size_t n, const STRange* range,
+                     ColumnScratch& s, std::vector<Record>& out) {
   s.Resize(n);
-  const std::uint8_t* base = body.data();
-  const std::uint8_t* end = base + body.size();
   std::size_t pos = 0;
-  pos += simd::DecodeZigZagDeltaI64(engine, base + pos, end, s.oids.data(), n);
-  pos +=
-      simd::DecodeZigZagDeltaI64(engine, base + pos, end, s.times.data(), n);
-  pos += DecodeAdaptiveChunk(engine, base + pos, end, s.xs.data(), n, s.ints);
-  pos += DecodeAdaptiveChunk(engine, base + pos, end, s.ys.data(), n, s.ints);
-  for (std::size_t i = 0; i < n; ++i)
-    s.ts[i] = static_cast<double>(s.times[i]);
-
-  double bounds[6];
-  if (range.empty()) {
-    // Inverted bounds: nothing matches, mirroring STRange::Contains on
-    // the empty range.
-    const double inf = std::numeric_limits<double>::infinity();
-    bounds[0] = bounds[2] = bounds[4] = inf;
-    bounds[1] = bounds[3] = bounds[5] = -inf;
-  } else {
-    bounds[0] = range.x_min();
-    bounds[1] = range.x_max();
-    bounds[2] = range.y_min();
-    bounds[3] = range.y_max();
-    bounds[4] = range.t_min();
-    bounds[5] = range.t_max();
-  }
-  const std::size_t matched = simd::FilterRangeBitmap(
-      engine, s.xs.data(), s.ys.data(), s.ts.data(), n, bounds,
-      s.bitmap.data());
-  if (matched == 0) return;
-
-  pos += simd::DecodeF32(engine, base + pos, end, s.speeds.data(), n);
-  pos += simd::DecodeZigZagDeltaI64(engine, base + pos, end,
-                                    s.headings.data(), n);
-  pos += simd::DecodeRleU8(engine, base + pos, end, s.statuses.data(), n);
-  pos += simd::DecodeRleU8(engine, base + pos, end, s.passengers.data(), n);
-  pos +=
-      simd::DecodeZigZagDeltaI64(engine, base + pos, end, s.fares.data(), n);
+  pos += DecodeDeltaColumn(body.subspan(pos), s.oids);
+  pos += DecodeDeltaColumn(body.subspan(pos), s.times);
+  pos += DecodeAdaptiveDoubleColumn(body.subspan(pos), s.xs);
+  pos += DecodeAdaptiveDoubleColumn(body.subspan(pos), s.ys);
+  if (range != nullptr &&
+      FilterRangeBitmap(*range, s.xs.data(), s.ys.data(), s.times.data(), n,
+                        s.bitmap.data()) == 0)
+    return;
+  pos += DecodeF32Column(body.subspan(pos), s.speeds);
+  pos += DecodeDeltaColumn(body.subspan(pos), s.headings);
+  pos += DecodeRleColumn(body.subspan(pos), s.statuses);
+  pos += DecodeRleColumn(body.subspan(pos), s.passengers);
+  pos += DecodeDeltaColumn(body.subspan(pos), s.fares);
   validate(pos == body.size(), "ScanColumnBlock: trailing block bytes");
 
-  out.reserve(out.size() + matched);
+  const auto append = [&](std::size_t i) {
+    validate(s.oids[i] >= 0 && s.oids[i] <= 0xFFFFFFFFll,
+             "ScanColumnBlock: oid out of range");
+    validate(s.headings[i] >= 0 && s.headings[i] <= 0xFFFFll,
+             "ScanColumnBlock: heading out of range");
+    validate(s.fares[i] >= 0 && s.fares[i] <= 0xFFFFFFFFll,
+             "ScanColumnBlock: fare out of range");
+    Record r;
+    r.oid = static_cast<std::uint32_t>(s.oids[i]);
+    r.time = s.times[i];
+    r.x = s.xs[i];
+    r.y = s.ys[i];
+    r.speed = s.speeds[i];
+    r.heading = static_cast<std::uint16_t>(s.headings[i]);
+    r.status = s.statuses[i];
+    r.passengers = s.passengers[i];
+    r.fare_cents = static_cast<std::uint32_t>(s.fares[i]);
+    out.push_back(r);
+  };
+  if (range == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) append(i);
+    return;
+  }
   for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
     std::uint64_t word = s.bitmap[w];
     while (word != 0) {
-      const std::size_t i =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      append(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
       word &= word - 1;
-      validate(s.oids[i] >= 0 && s.oids[i] <= 0xFFFFFFFFll,
-               "ScanColumnBlock: oid out of range");
-      validate(s.headings[i] >= 0 && s.headings[i] <= 0xFFFFll,
-               "ScanColumnBlock: heading out of range");
-      validate(s.fares[i] >= 0 && s.fares[i] <= 0xFFFFFFFFll,
-               "ScanColumnBlock: fare out of range");
-      Record r;
-      r.oid = static_cast<std::uint32_t>(s.oids[i]);
-      r.time = s.times[i];
-      r.x = s.xs[i];
-      r.y = s.ys[i];
-      r.speed = s.speeds[i];
-      r.heading = static_cast<std::uint16_t>(s.headings[i]);
-      r.status = s.statuses[i];
-      r.passengers = s.passengers[i];
-      r.fare_cents = static_cast<std::uint32_t>(s.fares[i]);
-      out.push_back(r);
     }
   }
 }
 
+// The one block scan behind both public decoders: walks the block stream
+// and hands each surviving block to its layout's block decoder, which
+// appends the records `range` keeps (all of them when `range` is null).
+std::vector<Record> ScanRecords(BytesView data, Layout layout,
+                                const STRange* range, bool prune_blocks,
+                                std::uint64_t* total_records,
+                                ScanCounters* counters,
+                                const CancelToken* cancel) {
+  ByteReader in(data);
+  const std::uint64_t count64 = in.GetVarint();
+  validate(count64 <= data.size(), "ScanRecords: implausible record count");
+  if (total_records != nullptr) *total_records = count64;
+  std::vector<Record> records;
+  if (range == nullptr) records.reserve(static_cast<std::size_t>(count64));
+  ColumnScratch scratch;
+  WalkBlocks(in, count64, prune_blocks ? range : nullptr, counters, cancel,
+             [&](BytesView body, std::size_t n) {
+               if (layout == Layout::kRow) {
+                 ScanRowBlock(body, n, range, records);
+               } else {
+                 ScanColumnBlock(body, n, range, scratch, records);
+               }
+             });
+  return records;
+}
+
+std::atomic<bool> zone_map_pruning{true};
+
 }  // namespace
+
+bool ZoneMapPruningEnabled() {
+  return zone_map_pruning.load(std::memory_order_relaxed);
+}
+
+void SetZoneMapPruning(bool enabled) {
+  zone_map_pruning.store(enabled, std::memory_order_relaxed);
+}
 
 Bytes SerializeRecords(std::span<const Record> records, Layout layout) {
   ByteWriter w;
@@ -417,23 +383,7 @@ Bytes SerializeRecords(std::span<const Record> records, Layout layout) {
 }
 
 std::vector<Record> DeserializeRecords(BytesView data, Layout layout) {
-  ByteReader in(data);
-  const std::uint64_t count64 = in.GetVarint();
-  validate(count64 <= data.size(),
-           "DeserializeRecords: implausible record count");
-  std::vector<Record> records;
-  records.reserve(static_cast<std::size_t>(count64));
-  WalkBlocks(in, count64, nullptr, nullptr, nullptr,
-             [&](BytesView body, std::size_t n) {
-               ByteReader block(body);
-               std::vector<Record> chunk = layout == Layout::kRow
-                                               ? DeserializeRows(block, n)
-                                               : DeserializeColumns(block, n);
-               validate(block.AtEnd(),
-                        "DeserializeRecords: trailing block bytes");
-               records.insert(records.end(), chunk.begin(), chunk.end());
-             });
-  return records;
+  return ScanRecords(data, layout, nullptr, false, nullptr, nullptr, nullptr);
 }
 
 std::vector<Record> DeserializeRecordsInRange(
@@ -443,29 +393,8 @@ std::vector<Record> DeserializeRecordsInRange(
   // Cancellation needs `counters` to report the interruption; without it
   // a partial prefix would masquerade as a full answer.
   if (counters == nullptr) cancel = nullptr;
-  ByteReader in(data);
-  const std::uint64_t count64 = in.GetVarint();
-  validate(count64 <= data.size(),
-           "DeserializeRecordsInRange: implausible record count");
-  if (total_records != nullptr) *total_records = count64;
-  const STRange* prune = prune_blocks ? &range : nullptr;
-  std::vector<Record> matches;
-  if (layout == Layout::kRow) {
-    WalkBlocks(in, count64, prune, counters, cancel,
-               [&](BytesView body, std::size_t n) {
-                 ByteReader block(body);
-                 std::vector<Record> chunk = ScanRowsInRange(block, n, range);
-                 matches.insert(matches.end(), chunk.begin(), chunk.end());
-               });
-  } else {
-    const simd::ScanEngine engine = simd::ActiveScanEngine();
-    ColumnScratch scratch;
-    WalkBlocks(in, count64, prune, counters, cancel,
-               [&](BytesView body, std::size_t n) {
-                 ScanColumnBlock(body, n, range, engine, scratch, matches);
-               });
-  }
-  return matches;
+  return ScanRecords(data, layout, &range, prune_blocks, total_records,
+                     counters, cancel);
 }
 
 }  // namespace blot

@@ -13,9 +13,12 @@
 // zone-map header (min/max TIME and LOC over its records) plus its
 // payload byte length, and every per-column transform restarts at the
 // block boundary. Range scans consult the zone map and skip
-// non-intersecting blocks without decoding them, and the surviving
-// blocks decode through the vectorized kernels in codec/simd/ (engine
-// picked at startup by CPUID).
+// non-intersecting blocks without decoding them.
+//
+// Each layout has one block decoder (the column one runs the decoders of
+// codec/columnar.h). A full decode is the same block scan with no range:
+// it keeps every record, NaN coordinates included, so decode-then-filter
+// and a range scan can only disagree on the filter, never on a decoder.
 #ifndef BLOT_BLOT_LAYOUT_H_
 #define BLOT_BLOT_LAYOUT_H_
 
@@ -40,7 +43,8 @@ Layout LayoutFromName(std::string_view name);
 inline constexpr std::size_t kScanBlockRecords = 512;
 
 // Scan-internal accounting of the block walk, surfaced through the
-// query profile (zone_map_prune / simd sub-stages) and scan.* metrics.
+// query profile (zone_map_prune / block_decode sub-stages) and scan.*
+// metrics.
 // Timings are captured only when `timed` is set — the two clock reads
 // per block are not free — counters always.
 struct ScanCounters {
@@ -57,18 +61,19 @@ struct ScanCounters {
 // Serializes records under the given layout.
 Bytes SerializeRecords(std::span<const Record> records, Layout layout);
 
-// Inverse of SerializeRecords; throws CorruptData on malformed input.
+// Inverse of SerializeRecords: the block scan with no range, keeping
+// every record. Throws CorruptData on malformed input.
 std::vector<Record> DeserializeRecords(BytesView data, Layout layout);
 
-// Fused decode-filter kernel: deserializes `data` but materializes only
+// Fused decode-filter scan: deserializes `data` but materializes only
 // the records whose Position() lies inside `range` — exactly the records
 // DeserializeRecords + filter would return, in the same order.
 //
 //   kColumn — decodes the oid/time/x/y columns first, computes the match
-//             set against `range` (a selection bitmap via the vectorized
-//             filter), and only then materializes matching
-//             rows; when nothing matches, the five attribute columns are
-//             never decoded at all (predicate pushdown).
+//             set against `range` (a selection bitmap), and only then
+//             materializes matching rows; when nothing matches, the five
+//             attribute columns are never decoded at all (predicate
+//             pushdown).
 //   kRow    — streams over the fixed-width rows, parsing the core
 //             attributes and skipping the 12 attribute bytes of rows
 //             that fall outside `range`; no intermediate full-partition
@@ -93,6 +98,13 @@ std::vector<Record> DeserializeRecordsInRange(
     BytesView data, Layout layout, const STRange& range,
     std::uint64_t* total_records = nullptr, bool prune_blocks = true,
     ScanCounters* counters = nullptr, const CancelToken* cancel = nullptr);
+
+// Process-wide zone-map pruning (partition zone skips and block
+// pruning). Defaults to on; every scan path, the store's routed queries
+// included, reads it at scan start. Tests and the differential harness
+// turn it off to check that pruning never changes an answer.
+bool ZoneMapPruningEnabled();
+void SetZoneMapPruning(bool enabled);
 
 }  // namespace blot
 

@@ -8,7 +8,7 @@
 
 #include <cmath>
 
-#include "codec/simd/dispatch.h"
+#include "blot/layout.h"
 #include "core/fault_injection.h"
 #include "core/partition_cache.h"
 #include "obs/metrics.h"
@@ -279,7 +279,7 @@ QueryResult Replica::Execute(const STRange& query,
                              const ScanOptions& options) const {
   ThreadPool* pool = options.pool;
   obs::QueryProfile* profile = options.profile;
-  const bool prune = simd::ZoneMapPruningEnabled();
+  const bool prune = ZoneMapPruningEnabled();
   // Partition-level zone skip: the stored zone is the exact bounding
   // cuboid over the partition's records, tighter than the partitioning
   // cell the index tested, so a partition can survive the index and
@@ -390,7 +390,7 @@ QueryResult Replica::Execute(const STRange& query,
       profile->AddStage(obs::Stage::kFilter, scan.filter_ms);
       profile->AddStage(obs::Stage::kZoneMapPrune,
                         double(scan.counters.prune_ns) * 1e-6);
-      profile->AddStage(obs::Stage::kSimd,
+      profile->AddStage(obs::Stage::kBlockDecode,
                         double(scan.counters.decode_ns) * 1e-6);
       profile->cache_hit_bytes += hit_bytes;
       profile->cache_miss_bytes += scan.stats.bytes_read;
@@ -403,7 +403,10 @@ QueryResult Replica::Execute(const STRange& query,
   }
   if (profiling) {
     profile->partitions_touched += served_count;
-    profile->partitions_skipped += partitions_.size() - involved.size();
+    // Index-pruned only: zone-pruned and excluded partitions were
+    // involved by the index and are counted on their own.
+    profile->partitions_skipped += partitions_.size() - involved.size() -
+                                   excluded.size() - zone_pruned;
     profile->partitions_zone_pruned += zone_pruned;
     profile->blocks_scanned += blocks_scanned;
     profile->blocks_pruned += blocks_pruned;
@@ -420,20 +423,9 @@ QueryResult Replica::Execute(const STRange& query,
         &registry.GetCounter("scan.blocks_pruned_total");
     static obs::Counter* zone_pruned_total =
         &registry.GetCounter("scan.partitions_zone_pruned_total");
-    static auto* engine_scans = [] {
-      auto* counters = new std::array<obs::Counter*, 3>();
-      for (std::uint8_t e = 0; e < 3; ++e)
-        (*counters)[e] = &obs::MetricsRegistry::global().GetCounter(
-            "scan.engine_scans_total",
-            {{"engine", std::string(simd::ScanEngineName(
-                            static_cast<simd::ScanEngine>(e)))}});
-      return counters;
-    }();
     blocks_scanned_total->Increment(blocks_scanned);
     blocks_pruned_total->Increment(blocks_pruned);
     zone_pruned_total->Increment(zone_pruned);
-    (*engine_scans)[static_cast<std::uint8_t>(simd::ActiveScanEngine())]
-        ->Increment();
   }
   return result;
 }

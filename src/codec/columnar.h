@@ -4,14 +4,18 @@
 // applies per-column transforms before general compression: timestamps and
 // object IDs delta-encode extremely well within a spatio-temporal
 // partition, and low-cardinality attributes (status flags) run-length
-// encode. All emitters append to a ByteWriter; all parsers consume from a
-// ByteReader and throw CorruptData on malformed input.
+// encode. All emitters append to a ByteWriter.
+//
+// Each transform has exactly one decoder. It reads `out.size()` values
+// from the front of `in`, writes them to `out`, and returns the number of
+// bytes it consumed. Malformed input (truncation, varint overflow, an RLE
+// run past the end of `out`, an unknown mode byte) throws CorruptData.
 #ifndef BLOT_CODEC_COLUMNAR_H_
 #define BLOT_CODEC_COLUMNAR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/bytes.h"
 
@@ -20,26 +24,16 @@ namespace blot {
 // Delta + zig-zag + varint coding for integer columns. The first value is
 // stored absolutely; each subsequent value as a signed delta.
 void EncodeDeltaColumn(ByteWriter& out, std::span<const std::int64_t> values);
-std::vector<std::int64_t> DecodeDeltaColumn(ByteReader& in,
-                                            std::size_t count);
+std::size_t DecodeDeltaColumn(BytesView in, std::span<std::int64_t> out);
 
 // Run-length coding for byte columns: (value, varint run) pairs.
 void EncodeRleColumn(ByteWriter& out, std::span<const std::uint8_t> values);
-std::vector<std::uint8_t> DecodeRleColumn(ByteReader& in, std::size_t count);
-
-// Doubles encoded as zig-zag deltas of their fixed-point quantization.
-// `scale` is the quantization step (e.g. 1e-6 degrees); values round-trip
-// to within scale/2. GPS coordinates within a partition are near-constant,
-// so the deltas are tiny.
-void EncodeQuantizedColumn(ByteWriter& out, std::span<const double> values,
-                           double scale);
-std::vector<double> DecodeQuantizedColumn(ByteReader& in, std::size_t count,
-                                          double scale);
+std::size_t DecodeRleColumn(BytesView in, std::span<std::uint8_t> out);
 
 // Lossless doubles: XOR of consecutive IEEE-754 bit patterns, varint-coded
 // (Gorilla-style without bit packing).
 void EncodeXorColumn(ByteWriter& out, std::span<const double> values);
-std::vector<double> DecodeXorColumn(ByteReader& in, std::size_t count);
+std::size_t DecodeXorColumn(BytesView in, std::span<double> out);
 
 // Lossless adaptive doubles, tuned for GPS coordinates: when every value
 // round-trips exactly through fixed-point quantization v ==
@@ -49,12 +43,11 @@ std::vector<double> DecodeXorColumn(ByteReader& in, std::size_t count);
 void EncodeAdaptiveDoubleColumn(ByteWriter& out,
                                 std::span<const double> values,
                                 double denominator = 1e6);
-std::vector<double> DecodeAdaptiveDoubleColumn(ByteReader& in,
-                                               std::size_t count);
+std::size_t DecodeAdaptiveDoubleColumn(BytesView in, std::span<double> out);
 
 // 32-bit floats stored as raw little-endian words.
 void EncodeF32Column(ByteWriter& out, std::span<const float> values);
-std::vector<float> DecodeF32Column(ByteReader& in, std::size_t count);
+std::size_t DecodeF32Column(BytesView in, std::span<float> out);
 
 }  // namespace blot
 

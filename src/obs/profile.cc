@@ -8,8 +8,8 @@ namespace blot::obs {
 namespace {
 
 constexpr std::array<std::string_view, kStageCount> kStageNames = {
-    "route",   "execute", "failover", "repair",
-    "cache_probe", "decode", "filter", "zone_map_prune", "simd", "hedge",
+    "route",  "execute", "failover",       "repair",       "cache_probe",
+    "decode", "filter",  "zone_map_prune", "block_decode", "hedge",
 };
 
 }  // namespace
@@ -78,8 +78,8 @@ std::string QueryProfile::Render() const {
       "partitions=%llu/%llu cache_hits=%llu cache_misses=%llu\n"
       "blocks=%llu scanned, %llu zone-pruned (+%llu whole partitions)\n",
       static_cast<unsigned long long>(partitions_touched),
-      static_cast<unsigned long long>(partitions_touched +
-                                      partitions_skipped),
+      static_cast<unsigned long long>(
+          partitions_touched + partitions_skipped + partitions_zone_pruned),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses),
       static_cast<unsigned long long>(blocks_scanned),

@@ -12,16 +12,17 @@
 //    wall-clock intervals measured on the calling thread, so their sum
 //    tracks the query's total wall time (blotctl --profile relies on
 //    this: sum within 10% of total).
-//  * Sub-stages (cache_probe, decode, filter, zone_map_prune, simd) are
-//    accumulated per partition inside the scan and nest within
-//    `execute`. Under a thread pool, partitions scan concurrently, so
-//    sub-stage times are CPU time across workers and may exceed the
-//    execute wall time; `parallel_scan` flags that case for tools.
+//  * Sub-stages (cache_probe, decode, filter, zone_map_prune,
+//    block_decode) are accumulated per partition inside the scan and
+//    nest within `execute`. Under a thread pool, partitions scan
+//    concurrently, so sub-stage times are CPU time across workers and
+//    may exceed the execute wall time; `parallel_scan` flags that case
+//    for tools.
 //
 // zone_map_prune is the time spent parsing-and-skipping block headers
-// that the zone map pruned; simd is the time spent inside the
-// vectorized block decode+filter kernels (surviving blocks only), a
-// refinement of decode/filter for the blocked wire format.
+// that the zone map pruned; block_decode is the time spent decoding and
+// filtering the blocks that survived it, a refinement of decode/filter
+// for the blocked wire format.
 #ifndef BLOT_OBS_PROFILE_H_
 #define BLOT_OBS_PROFILE_H_
 
@@ -43,7 +44,7 @@ enum class Stage : std::uint8_t {
   kDecode,
   kFilter,
   kZoneMapPrune,  // appended after kFilter: persisted indices stay stable
-  kSimd,
+  kBlockDecode,
   kHedge,  // wall time of the backup attempt in a hedged read
 };
 inline constexpr std::size_t kTopLevelStageCount = 4;

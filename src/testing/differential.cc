@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "blot/batch.h"
-#include "codec/simd/dispatch.h"
+#include "blot/layout.h"
 #include "core/cost_model.h"
 #include "core/partition_cache.h"
 #include "core/store.h"
@@ -23,23 +23,14 @@
 namespace blot::testing {
 namespace {
 
-// Scoped overrides of the process-wide scan knobs, exception-safe so a
-// throwing check can't leak a forced engine into later iterations.
-struct EngineGuard {
-  simd::ScanEngine prev;
-  explicit EngineGuard(simd::ScanEngine engine)
-      : prev(simd::ActiveScanEngine()) {
-    simd::SetScanEngine(engine);
-  }
-  ~EngineGuard() { simd::SetScanEngine(prev); }
-};
-
+// Scoped override of the process-wide zone-map switch, exception-safe
+// so a throwing check can't leak it into later iterations.
 struct ZonePruneGuard {
   bool prev;
-  explicit ZonePruneGuard(bool enabled) : prev(simd::ZoneMapPruningEnabled()) {
-    simd::SetZoneMapPruning(enabled);
+  explicit ZonePruneGuard(bool enabled) : prev(ZoneMapPruningEnabled()) {
+    SetZoneMapPruning(enabled);
   }
-  ~ZonePruneGuard() { simd::SetZoneMapPruning(prev); }
+  ~ZonePruneGuard() { SetZoneMapPruning(prev); }
 };
 
 std::uint64_t SplitMix64(std::uint64_t x) {
@@ -399,30 +390,21 @@ struct Iteration {
         PartitionCache::Global().Configure(0);
       }
 
-      // Scan-engine matrix: {scalar, best engine} x {pruned, unpruned} x
-      // {serial, parallel} must all return the oracle's records. The
-      // best-engine/pruned/serial cell is replica-execute above; on a
-      // scalar-only machine the engine axis collapses to one value.
-      const simd::ScanEngine best = simd::ActiveScanEngine();
-      std::vector<simd::ScanEngine> engines{simd::ScanEngine::kScalar};
-      if (best != simd::ScanEngine::kScalar) engines.push_back(best);
-      for (const simd::ScanEngine engine : engines) {
-        for (const bool pruned : {true, false}) {
-          for (const bool parallel : {false, true}) {
-            if (engine == best && pruned && !parallel) continue;
-            const std::string name =
-                std::string("replica-scan[") +
-                std::string(simd::ScanEngineName(engine)) +
-                (pruned ? ";pruned" : ";unpruned") +
-                (parallel ? ";parallel" : ";serial") + "]" + tag;
-            Check(name, query, expected, [&] {
-              EngineGuard engine_guard(engine);
-              ZonePruneGuard prune_guard(pruned);
-              return replica
-                  .Execute(query, parallel ? &ScanPool() : nullptr)
-                  .records;
-            });
-          }
+      // Scan matrix: {pruned, unpruned} x {serial, parallel} must all
+      // return the oracle's records. The pruned/serial cell is
+      // replica-execute above.
+      for (const bool pruned : {true, false}) {
+        for (const bool parallel : {false, true}) {
+          if (pruned && !parallel) continue;
+          const std::string name = std::string("replica-scan[") +
+                                   (pruned ? "pruned" : "unpruned") +
+                                   (parallel ? ";parallel" : ";serial") +
+                                   "]" + tag;
+          Check(name, query, expected, [&] {
+            ZonePruneGuard prune_guard(pruned);
+            return replica.Execute(query, parallel ? &ScanPool() : nullptr)
+                .records;
+          });
         }
       }
     }

@@ -76,18 +76,21 @@ struct FusedScanTest : public ::testing::Test {
   }
 };
 
+// The reference is the filtered source records, not a decode of `data`:
+// a full decode runs the same block decoders the range scan does, so it
+// could not catch a decoder bug.
 TEST_F(FusedScanTest, MatchesDecodeThenFilterForAllSchemes) {
   for (const EncodingScheme& scheme : SchemesUnderTest()) {
     const Bytes data = EncodePartition(dataset.records(), scheme);
-    const std::vector<Record> all = DecodePartition(data, scheme);
-    ASSERT_EQ(all.size(), dataset.size()) << scheme.Name();
+    ASSERT_EQ(DecodePartition(data, scheme), dataset.records())
+        << scheme.Name();
     for (const STRange& query : QueryShapes()) {
       std::uint64_t total = 0;
       const std::vector<Record> fused =
           DecodePartitionInRange(data, scheme, query, &total);
       EXPECT_EQ(total, dataset.size())
           << scheme.Name() << " on " << query.ToString();
-      EXPECT_EQ(fused, NaiveFilter(all, query))
+      EXPECT_EQ(fused, NaiveFilter(dataset.records(), query))
           << scheme.Name() << " on " << query.ToString();
     }
   }

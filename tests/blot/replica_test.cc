@@ -157,6 +157,33 @@ TEST(ReplicaEdgeTest, QueryOutsideUniverseReturnsNothing) {
   EXPECT_EQ(result.stats.partitions_scanned, 0u);
 }
 
+// Every partition lands in exactly one of the profile's scan-shape
+// counts: scanned, pruned by the partition index, or skipped by its zone.
+TEST(ReplicaProfileTest, ScanShapeCountsEachPartitionOnce) {
+  const Fixture f;
+  const Replica replica = Replica::Build(
+      f.dataset,
+      {{.spatial_partitions = 16, .temporal_partitions = 8},
+       EncodingScheme::FromName("COL-SNAPPY")},
+      f.universe);
+  Rng rng(19);
+  std::size_t zone_skipping_queries = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const STRange query = SampleQueryInstance(
+        {{f.universe.Width() * 0.05, f.universe.Height() * 0.05,
+          f.universe.Duration() * 0.05}},
+        f.universe, rng);
+    obs::QueryProfile profile;
+    replica.Execute(query, nullptr, &profile);
+    if (profile.partitions_zone_pruned > 0) ++zone_skipping_queries;
+    EXPECT_EQ(profile.partitions_touched + profile.partitions_skipped +
+                  profile.partitions_zone_pruned,
+              replica.NumPartitions())
+        << "trial " << trial;
+  }
+  ASSERT_GT(zone_skipping_queries, 0u);
+}
+
 TEST(ReplicaEdgeTest, ConfigNameIsStable) {
   const ReplicaConfig config{
       {.spatial_partitions = 64, .temporal_partitions = 32},

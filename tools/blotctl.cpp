@@ -28,7 +28,6 @@
 #include "blot/aggregate.h"
 #include "blot/segment_store.h"
 #include "blot/trajectory.h"
-#include "codec/simd/dispatch.h"
 #include "core/advisor.h"
 #include "core/fault_injection.h"
 #include "core/partition_cache.h"
@@ -425,18 +424,16 @@ int CmdStoreBuild(const Flags& flags) {
 
 // --profile's output: the profile's stage table and scan shape, then
 // the routing outcome from the query's record — which replica served it,
-// after how many attempts, on which scan engine, and how far the model's
-// estimate was from the measurement.
+// after how many attempts, and how far the model's estimate was from the
+// measurement.
 void PrintProfile(const BlotStore::RoutedResult& routed) {
   std::fputs(routed.profile.Render().c_str(), stdout);
-  std::printf("replica=%zu attempts=%zu degraded=%s engine=%s\n"
+  std::printf("replica=%zu attempts=%zu degraded=%s\n"
               "estimated_cost=%.3f ms measured_cost=%.3f ms "
               "error=%.1f%%\n",
               routed.replica_index, routed.attempts,
-              routed.degraded ? "yes" : "no",
-              std::string(simd::ScanEngineName(simd::ActiveScanEngine()))
-                  .c_str(),
-              routed.estimated_cost_ms, routed.measured_cost_ms,
+              routed.degraded ? "yes" : "no", routed.estimated_cost_ms,
+              routed.measured_cost_ms,
               std::abs(obs::SignedCostErrorPct(routed.estimated_cost_ms,
                                                routed.measured_cost_ms)));
 }
