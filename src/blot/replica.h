@@ -209,8 +209,8 @@ class Replica {
   // Before any of that, partitions whose stored zone (see StoredPartition)
   // does not intersect `query` are skipped outright — never read, decoded
   // or fault-injected — and on the fused path the per-block zone maps
-  // prune non-intersecting blocks of the rest. The scan engine
-  // (scalar / SSE4.2 / AVX2, picked at startup) decodes the rest.
+  // prune non-intersecting blocks of the rest. The layout's one block
+  // decoder (blot/layout.h) decodes what is left.
   QueryResult Execute(const STRange& query, const ScanOptions& options) const;
 
   // Convenience overload: default ScanOptions with the given pool/profile.

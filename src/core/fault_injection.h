@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -52,6 +53,10 @@ enum class FaultKind : std::uint8_t {
 
 std::string_view FaultKindName(FaultKind kind);
 
+// The corruption kinds a default FaultPlan injects.
+inline constexpr FaultKind kCorruptionKinds[] = {
+    FaultKind::kBitFlip, FaultKind::kTruncate, FaultKind::kTornRead};
+
 // What the injector may do and to whom. Defaults target every partition
 // of every replica with all three corruption kinds, once per target.
 struct FaultPlan {
@@ -59,8 +64,10 @@ struct FaultPlan {
   // Probability that a matched (replica, partition) target is faulty at
   // all; the draw is deterministic per target, not per read.
   double probability = 1.0;
-  std::vector<FaultKind> kinds = {FaultKind::kBitFlip, FaultKind::kTruncate,
-                                  FaultKind::kTornRead};
+  // Copied from a static array: a braced list here is a stack temporary
+  // that g++ 12 -O2 flags as maybe-uninitialized once inlined.
+  std::vector<FaultKind> kinds{std::begin(kCorruptionKinds),
+                               std::end(kCorruptionKinds)};
   // Empty matches every replica; otherwise the replica config name
   // (e.g. "KD4xT4/ROW-SNAPPY") must match exactly.
   std::string replica;

@@ -3,8 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+
+#include "obs/event_log.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace blot {
+namespace {
+
+// Folds `sample` into an EWMA that has seen `seen` samples; the first
+// sample seeds it.
+double Ewma(double ewma, double sample, std::uint64_t seen) {
+  if (seen == 0) return sample;
+  return LatencyMap::kAlpha * sample + (1.0 - LatencyMap::kAlpha) * ewma;
+}
+
+}  // namespace
 
 void LatencyMap::AddReplica() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -17,20 +32,48 @@ std::size_t LatencyMap::NumReplicas() const {
 }
 
 void LatencyMap::Observe(std::size_t replica, std::size_t partitions,
-                         double attempt_ms) {
+                         double attempt_ms, double estimated_ms) {
   if (attempt_ms < 0.0) return;
   const double per_partition =
       attempt_ms / static_cast<double>(std::max<std::size_t>(partitions, 1));
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (replica >= cells_.size()) return;
-  Cell& cell = cells_[replica];
-  if (cell.observations == 0) {
-    cell.ewma_ms_per_partition = per_partition;
-  } else {
-    cell.ewma_ms_per_partition = kAlpha * per_partition +
-                                 (1.0 - kAlpha) * cell.ewma_ms_per_partition;
+  double error_pct = 0.0;
+  bool alerting = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (replica >= cells_.size()) return;
+    Cell& cell = cells_[replica];
+    cell.ewma_ms_per_partition =
+        Ewma(cell.ewma_ms_per_partition, per_partition, cell.observations++);
+    if (attempt_ms <= 0.0 || estimated_ms <= 0.0) return;
+    cell.residual = Ewma(cell.residual, attempt_ms / estimated_ms,
+                         cell.residual_observations++);
+    error_pct = std::abs(obs::SignedCostErrorPct(1.0, cell.residual));
+    if (cell.residual_observations >= kMinObservations &&
+        (error_pct > kDriftBandPct) != cell.drift_alerting) {
+      cell.drift_alerting = !cell.drift_alerting;
+      // Under the lock, so concurrent feeders log transitions in order.
+      obs::EventLog& log = obs::EventLog::Global();
+      if (log.enabled()) {
+        log.Emit(cell.drift_alerting ? obs::EventSeverity::kWarn
+                                     : obs::EventSeverity::kInfo,
+                 cell.drift_alerting ? "cost_drift.alert" : "cost_drift.clear",
+                 cell.drift_alerting ? "cost model error exceeds threshold"
+                                     : "cost model error back under threshold",
+                 {obs::Field("replica", replica),
+                  obs::Field("error_pct", error_pct),
+                  obs::Field("residual", cell.residual),
+                  obs::Field("threshold_pct", kDriftBandPct)});
+      }
+    }
+    alerting = cell.drift_alerting;
   }
-  ++cell.observations;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  if (registry.enabled()) {
+    const obs::Labels labels = {{"replica", std::to_string(replica)}};
+    registry.GetGauge("cost_drift.error_pct", labels).Set(error_pct);
+    registry.GetGauge("cost_drift.alerting", labels)
+        .Set(alerting ? 1.0 : 0.0);
+  }
 }
 
 double LatencyMap::ExpectedMs(std::size_t replica,
@@ -64,12 +107,7 @@ double LatencyMap::BrownoutPenalty(std::size_t replica) const {
 
 LatencyMap::Snapshot LatencyMap::Get(std::size_t replica) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot snap;
-  if (replica < cells_.size()) {
-    snap.ewma_ms_per_partition = cells_[replica].ewma_ms_per_partition;
-    snap.observations = cells_[replica].observations;
-  }
-  return snap;
+  return replica < cells_.size() ? cells_[replica] : Snapshot{};
 }
 
 }  // namespace blot

@@ -1,22 +1,30 @@
-// Per-replica latency tracking: the routing signal for hedged reads and
-// brownout deprioritization.
+// Per-replica runtime statistics: the routing signal for hedged reads
+// and brownout deprioritization, and the cost model's residual.
 //
 // HealthMap answers "is this copy *correct*"; LatencyMap answers "is
-// this copy *fast*". Every execution attempt feeds its wall time and
-// partition count back as an EWMA of milliseconds-per-partition-read,
-// and two consumers read it:
+// this copy *fast*" and "is the cost model right about it". Every
+// complete execution attempt feeds its wall time, partition count and
+// routing estimate, and the map keeps two EWMAs per replica:
 //
-//   * the hedging coordinator derives the per-query hedge threshold
-//     from ExpectedMs(replica, predicted_partitions) — an attempt
-//     running well past its own replica's recent norm is a straggler
-//     worth racing;
-//   * candidate ranking multiplies a replica's cost by
-//     BrownoutPenalty() — a replica whose per-partition reads run far
-//     slower than the fastest replica's is deprioritized (still
-//     eligible, so it keeps serving when it is the only healthy copy)
-//     without tripping the health machinery: slowness is not
-//     corruption, and quarantining a slow-but-alive replica would
-//     *reduce* the diversity the paper's recovery argument relies on.
+//   * milliseconds per partition read, which two consumers read:
+//     - the hedging coordinator derives the per-query hedge threshold
+//       from ExpectedMs(replica, predicted_partitions) — an attempt
+//       running well past its own replica's recent norm is a straggler
+//       worth racing;
+//     - candidate ranking multiplies a replica's cost by
+//       BrownoutPenalty() — a replica whose per-partition reads run far
+//       slower than the fastest replica's is deprioritized (still
+//       eligible, so it keeps serving when it is the only healthy copy)
+//       without tripping the health machinery: slowness is not
+//       corruption, and quarantining a slow-but-alive replica would
+//       *reduce* the diversity the paper's recovery argument relies on;
+//   * the residual, measured ÷ estimated ms (Eq. 7): the model's own
+//     prediction corrected online. Its error, |obs::SignedCostErrorPct(
+//     1, residual)|, is published as the cost_drift.error_pct{replica}
+//     and cost_drift.alerting{replica} gauges while the registry is on,
+//     and crossing kDriftBandPct either way emits one cost_drift.alert
+//     or cost_drift.clear event (docs/observability.md). Nothing routes
+//     on it yet.
 //
 // The penalty needs a minimum number of observations per replica and
 // only kicks in past a generous slowness ratio (4x), but honest speed
@@ -44,6 +52,11 @@ class LatencyMap {
   struct Snapshot {
     double ewma_ms_per_partition = 0.0;
     std::uint64_t observations = 0;
+    // EWMA of measured / estimated ms over the attempts that had both.
+    double residual = 0.0;
+    std::uint64_t residual_observations = 0;
+    // The residual's error is past kDriftBandPct (after warm-up).
+    bool drift_alerting = false;
   };
 
   // Registers the next replica (index = current replica count), keeping
@@ -52,12 +65,14 @@ class LatencyMap {
 
   std::size_t NumReplicas() const;
 
-  // Feeds one execution attempt: `partitions` actually scanned in
-  // `attempt_ms` of wall time. Attempts that scanned nothing still count
-  // as one partition so a zone-pruned-everything query cannot divide by
-  // zero or record an infinite rate.
+  // Feeds one complete execution attempt: `partitions` actually scanned
+  // in `attempt_ms` of wall time, against the routing estimate
+  // `estimated_ms`. Attempts that scanned nothing still count as one
+  // partition so a zone-pruned-everything query cannot divide by zero or
+  // record an infinite rate. The residual skips an attempt whose
+  // estimate or time is <= 0.
   void Observe(std::size_t replica, std::size_t partitions,
-               double attempt_ms);
+               double attempt_ms, double estimated_ms);
 
   // The EWMA-predicted wall time for `replica` to read `partitions`
   // partitions; 0 while the replica has fewer than kMinObservations
@@ -72,7 +87,8 @@ class LatencyMap {
 
   Snapshot Get(std::size_t replica) const;
 
-  // Observations needed before a replica's EWMA drives decisions.
+  // Observations needed before a replica's EWMA drives decisions, and
+  // before its residual may alert.
   static constexpr std::uint64_t kMinObservations = 4;
   // Slowness ratio (vs the fastest replica) below which no penalty
   // applies.
@@ -82,12 +98,12 @@ class LatencyMap {
   static constexpr double kMaxPenalty = 8.0;
   // EWMA smoothing factor (weight of the newest observation).
   static constexpr double kAlpha = 0.2;
+  // Residual error |obs::SignedCostErrorPct(1, residual)|, in percent,
+  // past which a warmed-up replica alerts.
+  static constexpr double kDriftBandPct = 25.0;
 
  private:
-  struct Cell {
-    double ewma_ms_per_partition = 0.0;
-    std::uint64_t observations = 0;
-  };
+  using Cell = Snapshot;  // Get returns a copy of the replica's cell
 
   mutable std::mutex mutex_;
   std::vector<Cell> cells_;

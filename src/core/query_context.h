@@ -4,10 +4,11 @@
 // routing, scanning, failover and telemetry with ad-hoc locals; under N
 // concurrent callers every piece of per-query state must be owned by
 // exactly one query. QueryContext is that owner: the profile the scan
-// kernels fill, the attempt log the failover loop appends to — everything that belongs to one query and nothing
-// that is shared. The shared structures (HealthMap, PartitionCache,
-// metrics registry, drift monitors) are internally synchronized; a
-// context is not, because it never crosses queries.
+// kernels fill, the attempt log the failover loop appends to —
+// everything that belongs to one query and nothing that is shared. The
+// shared structures (HealthMap, LatencyMap, PartitionCache, metrics
+// registry, event log) are internally synchronized; a context is not,
+// because it never crosses queries.
 //
 // Contexts are cheap to construct on the query path: the profile is a
 // flat struct. The store's coordinator (routing, failover, hedging,

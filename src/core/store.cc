@@ -153,7 +153,6 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
   sync_ = std::move(other.sync_);
-  cost_drift_ = std::move(other.cost_drift_);
   return *this;
 }
 
@@ -352,8 +351,10 @@ struct BlotStore::Attempt {
   std::exception_ptr exception;  // anything but a read fault; rethrown
 };
 
-void BlotStore::RunAttempt(const STRange& query, std::size_t replica,
+void BlotStore::RunAttempt(const STRange& query,
+                           const RoutingDecision& decision,
                            const ScanOptions& scan, Attempt& out) {
+  const std::size_t replica = decision.replica_index;
   const std::uint64_t start_ns = obs::MonotonicNanos();
   std::shared_lock lock(sync_->state_mutex);
   const Replica& rep = replicas_[replica];
@@ -367,10 +368,12 @@ void BlotStore::RunAttempt(const STRange& query, std::size_t replica,
     out.error = e.what();
   }
   out.ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-  // Only complete scans teach the latency map: a cancelled scan's wall
-  // time reflects the budget or the race, not the replica's speed.
+  // Only complete scans teach the latency map and the model residual: a
+  // cancelled scan's wall time reflects the budget or the race, not the
+  // replica's speed.
   if (out.status == Attempt::Status::kOk)
-    latency_->Observe(replica, out.result.stats.partitions_scanned, out.ms);
+    latency_->Observe(replica, out.result.stats.partitions_scanned, out.ms,
+                      decision.estimated_cost_ms);
   else if (out.status == Attempt::Status::kTruncated)
     out.error = "cancelled mid-scan";
 }
@@ -461,13 +464,12 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
                       std::chrono::duration_cast<Clock::duration>(hedge_after);
     }
     auto run = [this, board, query, options, index, token = slot.token,
-                replica = decision.replica_index,
-                profiling = ctx.profiling]() mutable {
+                decision, profiling = ctx.profiling]() mutable {
       Attempt out;
       options.cancel = token.valid() ? &token : nullptr;
       options.profile = profiling ? &out.profile : nullptr;
       try {
-        RunAttempt(query, replica, options, out);
+        RunAttempt(query, decision, options, out);
       } catch (...) {
         out.exception = std::current_exception();
       }
@@ -640,7 +642,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     decision = first;
     ScanOptions expired = scan;
     expired.cancel = &ctx.cancel;
-    RunAttempt(query, decision.replica_index, expired, nothing);
+    RunAttempt(query, decision, expired, nothing);
     served = &nothing;
     degraded = launched > 0;
   } else {
@@ -783,8 +785,6 @@ void BlotStore::RecordQuery(const RoutedResult& routed) {
   if (routed.hedged) Count("hedge.fired_total");
   if (routed.hedge_backup_won) Count("hedge.backup_wins_total");
   obs::RecordProfile(routed.profile);  // per-stage histograms
-  cost_drift_->Observe(routed.replica_index, routed.estimated_cost_ms,
-                       routed.measured_cost_ms);
 }
 
 void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
@@ -958,8 +958,10 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
       QuarantineFault(*health_, r, replicas_[r], e);
       continue;
     }
+    // The canonical check above pins the ranges and the record count;
+    // only the partition's encoded size can change.
     rep.RestorePartition(partition, expected);
-    sketches_[target] = ReplicaSketch::FromReplica(rep);
+    sketches_[target].storage_bytes = rep.StorageBytes();
     health_->MarkOk(target, partition);
     const double repair_ms_elapsed =
         double(obs::MonotonicNanos() - start_ns) * 1e-6;

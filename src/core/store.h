@@ -31,7 +31,6 @@
 #include "core/health.h"
 #include "core/latency_map.h"
 #include "core/query_context.h"
-#include "obs/drift_monitor.h"
 #include "obs/profile.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -156,7 +155,8 @@ class BlotStore {
   const HealthMap& health() const { return *health_; }
 
   // Per-replica latency EWMAs feeding hedged-read thresholds and brownout
-  // deprioritization in routing (core/latency_map.h).
+  // deprioritization in routing, beside each replica's cost-model
+  // residual (core/latency_map.h).
   const LatencyMap& latency() const { return *latency_; }
 
   struct RoutedResult {
@@ -228,9 +228,10 @@ class BlotStore {
   // The RoutedResult is the query's one record: routing decision, cost
   // estimate beside the measurement, attempt log and stage profile. When
   // the global metrics registry is enabled the finished record also
-  // feeds the query.*, failover.* and hedge.* metrics, the per-stage
-  // histograms and the cost-drift monitor (docs/observability.md,
-  // docs/robustness.md).
+  // feeds the query.*, failover.* and hedge.* metrics and the per-stage
+  // histograms (docs/observability.md, docs/robustness.md). Every
+  // complete attempt feeds the LatencyMap, whose model residual drives
+  // the cost_drift.* gauges and events.
   RoutedResult Execute(const STRange& query, const CostModel& model,
                        ThreadPool* pool = nullptr);
 
@@ -368,10 +369,11 @@ class BlotStore {
   QueryFailedError UnservableError(const STRange& query) const;
 
   struct Attempt;  // one execution attempt's outcome
-  // The attempt runner: scans `replica` under its own shared lock; the
-  // only place that quarantines on a read fault and that feeds the
-  // LatencyMap.
-  void RunAttempt(const STRange& query, std::size_t replica,
+  // The attempt runner: scans the decision's replica under its own
+  // shared lock; the only place that quarantines on a read fault and
+  // that feeds the LatencyMap (time, partitions and the decision's
+  // estimate of a complete scan).
+  void RunAttempt(const STRange& query, const RoutingDecision& decision,
                   const ScanOptions& scan, Attempt& out);
   // The coordinator: routes, walks the plan under the policy (attempts,
   // hedge, deadline, allow_partial) inline or — when a hedge can fire —
@@ -384,8 +386,8 @@ class BlotStore {
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
 
   // The one telemetry sink: feeds a finished query's record into the
-  // query.*/failover.*/hedge.* metrics, the per-stage histograms and the
-  // cost-drift monitor. Called once per query, registry enabled.
+  // query.*/failover.*/hedge.* metrics and the per-stage histograms.
+  // Called once per query, registry enabled.
   void RecordQuery(const RoutedResult& routed);
 
   // Implementations that assume state_mutex is held unique. AdoptReplica
@@ -407,10 +409,6 @@ class BlotStore {
   std::unique_ptr<HealthMap> health_ = std::make_unique<HealthMap>();
   std::unique_ptr<LatencyMap> latency_ = std::make_unique<LatencyMap>();
   std::unique_ptr<SyncState> sync_ = std::make_unique<SyncState>();
-  // Per-replica cost-model error windows (cost_drift.* gauges and
-  // events); boxed because the monitor is neither movable nor copyable.
-  std::unique_ptr<obs::CostDriftMonitor> cost_drift_ =
-      std::make_unique<obs::CostDriftMonitor>();
 };
 
 }  // namespace blot

@@ -57,7 +57,8 @@ std::string_view StageName(Stage stage);
 // The cost model's error on one query: (measured - estimated) /
 // measured * 100, positive when the model underestimated; 0 when
 // unmeasured. The one definition behind the query.cost_error_pct
-// histogram, the cost-drift windows and blotctl --profile.
+// histogram, the LatencyMap residual's cost_drift.error_pct and blotctl
+// --profile.
 double SignedCostErrorPct(double estimated_ms, double measured_ms);
 
 struct QueryProfile {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -127,7 +128,7 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
         const double waited_ms =
             double(obs::MonotonicNanos() - admit_ns) * 1e-6;
         const double remaining = effective_deadline - waited_ms;
-        if (remaining <= 0.0) {
+        if (remaining <= 0.0 && !options_.allow_partial) {
           // Accounting happens in the DeadlineExceededError catch below.
           throw DeadlineExceededError(
               "QueryServer: deadline of " +
@@ -136,7 +137,11 @@ std::future<BlotStore::RoutedResult> QueryServer::Submit(
                   std::to_string(waited_ms) + "ms); query abandoned",
               effective_deadline, 0, 0, 0);
         }
-        exec.deadline_ms = remaining;
+        // With allow_partial an expired query still gets its partial
+        // answer: a budget that has already run out makes the store
+        // report every involved partition missed without reading any.
+        exec.deadline_ms =
+            std::max(remaining, std::numeric_limits<double>::min());
       }
       BlotStore::RoutedResult result = store_.Execute(query, model_, exec);
       if (result.partial) {

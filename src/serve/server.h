@@ -78,10 +78,11 @@ struct ServerOptions {
   double simulate_io_ms = 0.0;
   // Default per-query deadline in ms, measured from *admission* (queue
   // wait counts against the budget — a query that waited out its whole
-  // deadline in the queue fails fast without executing). 0 = none. A
-  // per-request deadline passed to Submit overrides it. Expiry surfaces
-  // as DeadlineExceededError through the returned future, or as a
-  // partial result when allow_partial is set (docs/serving.md).
+  // deadline in the queue fails fast without reading a partition). 0 =
+  // none. A per-request deadline passed to Submit overrides it. Expiry
+  // surfaces as DeadlineExceededError through the returned future, or as
+  // a partial result when allow_partial is set, in the queue too
+  // (docs/serving.md).
   double default_deadline_ms = 0.0;
   // Hedged reads for every served query (BlotStore::ExecOptions::
   // hedge_ms): 0 = off.

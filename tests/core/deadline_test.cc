@@ -183,8 +183,9 @@ TEST(DeadlineTest, AllowPartialTurnsExpiryIntoCoverageReport) {
   EXPECT_TRUE(routed.result.truncated);
   EXPECT_FALSE(routed.result.missed_partitions.empty());
   // Coverage is partition-exact: no records without served partitions.
-  if (routed.result.served_partitions.empty())
+  if (routed.result.served_partitions.empty()) {
     EXPECT_TRUE(routed.result.records.empty());
+  }
 }
 
 TEST(DeadlineTest, DeadlineMidParallelScanKeepsCoverageExact) {
@@ -296,6 +297,40 @@ TEST(DeadlineTest, ServerAllowPartialCountsPartialResults) {
   EXPECT_EQ(stats.partial, 1u);
   EXPECT_EQ(stats.deadline_exceeded, 0u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+// With allow_partial, a query whose deadline passes in the admission
+// queue resolves partial too: the store reads none of its partitions and
+// reports every involved one missed.
+TEST(DeadlineTest, ServerAllowPartialAnswersQueueExpiryPartially) {
+  const TaxiFixture fixture;
+  BlotStore store = test::MakeStandardStore(fixture.dataset,
+                                            fixture.universe, 1);
+  const ScopedInjector injector(StallPlan(60.0));
+
+  serve::ServerOptions options;
+  options.worker_threads = 1;  // the second query must queue
+  options.default_deadline_ms = 25.0;
+  options.allow_partial = true;
+  serve::QueryServer server(store, Model(), options);
+
+  auto first = server.Submit(fixture.universe);
+  auto second = server.Submit(fixture.universe);
+  const BlotStore::RoutedResult expired_running = first.get();
+  const BlotStore::RoutedResult expired_queued = second.get();
+  EXPECT_TRUE(expired_running.partial);
+  EXPECT_TRUE(expired_queued.partial);
+  EXPECT_TRUE(expired_queued.result.served_partitions.empty());
+  EXPECT_TRUE(expired_queued.result.records.empty());
+  EXPECT_EQ(expired_queued.result.missed_partitions.size(),
+            store.replica(expired_queued.replica_index)
+                .index()
+                .InvolvedPartitions(fixture.universe)
+                .size());
+  const serve::ServerStatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.partial, 2u);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 }  // namespace

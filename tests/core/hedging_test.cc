@@ -1,15 +1,18 @@
 // Hedged reads and the latency signal behind them: LatencyMap warm-up,
-// EWMA prediction and brownout penalties; the hedge race (backup fires on
+// EWMA prediction and brownout penalties; the cost model's residual and
+// its cost_drift.* alerts and gauges; the hedge race (backup fires on
 // a slow primary, first complete answer wins, the loser is cancelled);
 // winner/loser accounting in the attempt log; and the observed slowness
 // feeding back into routing (docs/robustness.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blot/encoding_scheme.h"
@@ -18,6 +21,7 @@
 #include "core/fault_injection.h"
 #include "core/latency_map.h"
 #include "core/store.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "simenv/environment.h"
@@ -93,10 +97,10 @@ TEST(LatencyMapTest, ColdReplicaPredictsNothing) {
   EXPECT_DOUBLE_EQ(map.ExpectedMs(0, 8), 0.0);
   // Below the warm-up floor the EWMA stays out of decisions.
   for (std::uint64_t i = 0; i + 1 < LatencyMap::kMinObservations; ++i) {
-    map.Observe(0, 1, 10.0);
+    map.Observe(0, 1, 10.0, 10.0);
     EXPECT_DOUBLE_EQ(map.ExpectedMs(0, 8), 0.0);
   }
-  map.Observe(0, 1, 10.0);
+  map.Observe(0, 1, 10.0, 10.0);
   EXPECT_GT(map.ExpectedMs(0, 8), 0.0);
 }
 
@@ -105,12 +109,12 @@ TEST(LatencyMapTest, EwmaPredictsPerPartitionRate) {
   map.AddReplica();
   // Steady 10ms-per-partition attempts: the EWMA converges to the rate
   // and ExpectedMs scales linearly with the partition count.
-  for (int i = 0; i < 8; ++i) map.Observe(0, 4, 40.0);
+  for (int i = 0; i < 8; ++i) map.Observe(0, 4, 40.0, 40.0);
   EXPECT_NEAR(map.Get(0).ewma_ms_per_partition, 10.0, 1e-9);
   EXPECT_NEAR(map.ExpectedMs(0, 6), 60.0, 1e-9);
   // Zero-partition attempts still count as one partition: no division
   // by zero, no infinite rate.
-  map.Observe(0, 0, 5.0);
+  map.Observe(0, 0, 5.0, 5.0);
   EXPECT_GT(map.Get(0).ewma_ms_per_partition, 0.0);
 }
 
@@ -118,9 +122,9 @@ TEST(LatencyMapTest, BrownoutPenaltySparesHonestDifferencesAndCaps) {
   LatencyMap map;
   for (int r = 0; r < 3; ++r) map.AddReplica();
   for (std::uint64_t i = 0; i < LatencyMap::kMinObservations; ++i) {
-    map.Observe(0, 1, 10.0);    // the fastest replica
-    map.Observe(1, 1, 25.0);    // 2.5x: an honest encoding difference
-    map.Observe(2, 1, 1000.0);  // 100x: a brownout
+    map.Observe(0, 1, 10.0, 10.0);      // the fastest replica
+    map.Observe(1, 1, 25.0, 25.0);      // 2.5x: an honest difference
+    map.Observe(2, 1, 1000.0, 1000.0);  // 100x: a brownout
   }
   EXPECT_DOUBLE_EQ(map.BrownoutPenalty(0), 1.0);
   // Below kBrownoutRatio the penalty must not bias routing at all.
@@ -135,9 +139,137 @@ TEST(LatencyMapTest, ColdReplicasAreNeverPenalized) {
   map.AddReplica();
   map.AddReplica();
   for (std::uint64_t i = 0; i < LatencyMap::kMinObservations; ++i)
-    map.Observe(0, 1, 1.0);
+    map.Observe(0, 1, 1.0, 1.0);
   // Replica 1 has no observations: no penalty either way.
   EXPECT_DOUBLE_EQ(map.BrownoutPenalty(1), 1.0);
+}
+
+// --- The cost model's residual -------------------------------------------
+
+std::size_t CountEvents(std::string_view category) {
+  std::size_t n = 0;
+  for (const obs::Event& e : obs::EventLog::Global().Recent(256))
+    if (e.category == category) ++n;
+  return n;
+}
+
+// The gauge's value, or nullopt when it was never registered.
+std::optional<double> Gauge(std::string_view name, std::size_t replica) {
+  const obs::Labels labels = {{"replica", std::to_string(replica)}};
+  for (const obs::GaugeSnapshot& g :
+       obs::MetricsRegistry::global().Snapshot().gauges)
+    if (g.name == name && g.labels == labels) return g.value;
+  return std::nullopt;
+}
+
+TEST(LatencyMapTest, ResidualIsMeasuredOverEstimatedPerReplica) {
+  LatencyMap map;
+  map.AddReplica();
+  map.AddReplica();
+  // The first observation seeds each replica's residual.
+  map.Observe(0, 2, 2.0, 1.0);  // the model underestimates by half
+  map.Observe(1, 2, 1.0, 2.0);  // the model overestimates 2x
+  EXPECT_DOUBLE_EQ(map.Get(0).residual, 2.0);
+  EXPECT_DOUBLE_EQ(map.Get(1).residual, 0.5);
+  EXPECT_EQ(map.Get(0).residual_observations, 1u);
+  EXPECT_EQ(map.Get(1).residual_observations, 1u);
+  // A replica never fed has no residual.
+  map.AddReplica();
+  EXPECT_EQ(map.Get(2).residual_observations, 0u);
+  EXPECT_DOUBLE_EQ(map.Get(2).residual, 0.0);
+}
+
+TEST(LatencyMapTest, ResidualForgetsOldObservations) {
+  LatencyMap map;
+  map.AddReplica();
+  for (int i = 0; i < 8; ++i) map.Observe(0, 1, 3.0, 3.0);
+  EXPECT_DOUBLE_EQ(map.Get(0).residual, 1.0);
+  // The model turns 2x optimistic: the exact phase ages out.
+  for (int i = 0; i < 40; ++i) map.Observe(0, 1, 6.0, 3.0);
+  EXPECT_NEAR(map.Get(0).residual, 2.0, 1e-3);
+  EXPECT_EQ(map.Get(0).residual_observations, 48u);
+}
+
+TEST(LatencyMapTest, ResidualSkipsNonPositiveEstimateOrTime) {
+  LatencyMap map;
+  map.AddReplica();
+  map.Observe(0, 1, 5.0, 0.0);   // no estimate
+  map.Observe(0, 1, 5.0, -1.0);  // nonsense estimate
+  map.Observe(0, 1, 0.0, 3.0);   // no measurable time
+  EXPECT_EQ(map.Get(0).residual_observations, 0u);
+  EXPECT_DOUBLE_EQ(map.Get(0).residual, 0.0);
+  // The per-partition EWMA keeps its own rule: only negative times skip.
+  EXPECT_EQ(map.Get(0).observations, 3u);
+  map.Observe(0, 1, -1.0, 3.0);
+  EXPECT_EQ(map.Get(0).observations, 3u);
+  map.Observe(0, 1, 3.0, 3.0);
+  EXPECT_EQ(map.Get(0).residual_observations, 1u);
+  EXPECT_DOUBLE_EQ(map.Get(0).residual, 1.0);
+}
+
+TEST(LatencyMapTest, DriftAlertsOnceAndClearsOnce) {
+  obs::EventLog& log = obs::EventLog::Global();
+  log.ResetForTest();
+  log.set_enabled(true);
+  LatencyMap map;
+  map.AddReplica();
+  // The model is 10x optimistic from the start, but a replica alerts
+  // only once warmed up.
+  for (std::uint64_t i = 0; i + 1 < LatencyMap::kMinObservations; ++i) {
+    map.Observe(0, 1, 10.0, 1.0);
+    EXPECT_FALSE(map.Get(0).drift_alerting);
+  }
+  EXPECT_EQ(CountEvents("cost_drift.alert"), 0u);
+  map.Observe(0, 1, 10.0, 1.0);
+  EXPECT_TRUE(map.Get(0).drift_alerting);
+  // Staying wrong does not re-fire.
+  for (int i = 0; i < 8; ++i) map.Observe(0, 1, 10.0, 1.0);
+  EXPECT_EQ(CountEvents("cost_drift.alert"), 1u);
+  EXPECT_EQ(CountEvents("cost_drift.clear"), 0u);
+
+  // Exact predictions pull the error back under the band: one clear.
+  int recovered_after = 0;
+  while (map.Get(0).drift_alerting && recovered_after < 100) {
+    map.Observe(0, 1, 1.0, 1.0);
+    ++recovered_after;
+  }
+  EXPECT_FALSE(map.Get(0).drift_alerting);
+  EXPECT_LE(std::abs(obs::SignedCostErrorPct(1.0, map.Get(0).residual)),
+            LatencyMap::kDriftBandPct);
+  for (int i = 0; i < 8; ++i) map.Observe(0, 1, 1.0, 1.0);
+  EXPECT_EQ(CountEvents("cost_drift.alert"), 1u);
+  EXPECT_EQ(CountEvents("cost_drift.clear"), 1u);
+  log.set_enabled(false);
+  log.ResetForTest();
+}
+
+TEST(LatencyMapTest, DriftGaugesFollowTheResidualWhileRegistryOn) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.Reset();
+  registry.set_enabled(true);
+  LatencyMap map;
+  for (int r = 0; r < 4; ++r) map.AddReplica();
+  // Measured twice the estimate: the error is 50 %, as
+  // obs::SignedCostErrorPct(1, 2) defines it.
+  map.Observe(3, 1, 2.0, 1.0);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.error_pct", 3).value_or(-1.0), 50.0);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.alerting", 3).value_or(-1.0), 0.0);
+  // Half the estimate: an overestimate reads as a positive error too.
+  map.Observe(2, 1, 1.0, 2.0);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.error_pct", 2).value_or(-1.0), 100.0);
+  for (std::uint64_t i = 1; i < LatencyMap::kMinObservations; ++i)
+    map.Observe(3, 1, 2.0, 1.0);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.error_pct", 3).value_or(-1.0), 50.0);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.alerting", 3).value_or(-1.0), 1.0);
+  // An unfed replica publishes nothing (Reset zeroes, never removes).
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.error_pct", 0).value_or(0.0), 0.0);
+
+  // With the registry off the residual still learns; the gauges hold.
+  registry.set_enabled(false);
+  for (int i = 0; i < 40; ++i) map.Observe(3, 1, 1.0, 1.0);
+  EXPECT_FALSE(map.Get(3).drift_alerting);
+  EXPECT_DOUBLE_EQ(Gauge("cost_drift.alerting", 3).value_or(-1.0), 1.0);
+  registry.Reset();
 }
 
 // --- The hedge race ----------------------------------------------------

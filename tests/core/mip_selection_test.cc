@@ -81,8 +81,9 @@ TEST(SelectMipTest, BeatsOrMatchesGreedyAlways) {
         RandomInstance(rng, 4 + rng.NextUint64(4), 5 + rng.NextUint64(5));
     const SelectionResult greedy = SelectGreedy(input);
     const SelectionResult mip = SelectMip(input);
-    if (std::isfinite(greedy.workload_cost))
+    if (std::isfinite(greedy.workload_cost)) {
       EXPECT_LE(mip.workload_cost, greedy.workload_cost + 1e-9);
+    }
   }
 }
 

@@ -223,56 +223,78 @@ TEST_F(RoutingParityTest, BrownoutAndQuarantineMatchFullReference) {
   std::size_t brownout_flips = 0;
   std::size_t lossy_excluded = 0;
   std::size_t lossy_wins = 0;
-  for (int q = 0; q < 600; ++q) {
-    // Alternate universe-wide shapes with shapes around the quarantined
-    // partition, which exclude the lossy replica.
-    const STRange query = random_query(
-        q % 2 == 0 ? universe : store.replica(lossy).index().Range(lost));
-    SCOPED_TRACE("query " + std::to_string(q) + " " + query.ToString());
+  // Checks 600 decisions against the reference ranking over `reference`.
+  const auto check_decisions =
+      [&](const std::vector<ReplicaSketch>& reference) {
+    for (int q = 0; q < 600; ++q) {
+      // Alternate universe-wide shapes with shapes around the lost
+      // partition, which exclude the lossy replica while it is
+      // quarantined.
+      const STRange query = random_query(
+          q % 2 == 0 ? universe : store.replica(lossy).index().Range(lost));
+      SCOPED_TRACE("query " + std::to_string(q) + " " + query.ToString());
 
-    std::size_t best = store.NumReplicas();
-    double best_score = 0.0;
-    Estimate best_estimate;
-    std::size_t unpenalized_best = store.NumReplicas();
-    double unpenalized_cost = 0.0;
-    for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
-      const Estimate expected = ReferenceEstimate(
-          sketches[r], model.Params(sketches[r].config.encoding), query);
-      bool quarantined = false;
-      for (const std::size_t p : sketches[r].index.InvolvedPartitions(query))
-        quarantined = quarantined || store.health().Get(r, p) ==
-                                         PartitionHealth::kQuarantined;
-      if (quarantined) {
-        ++lossy_excluded;
-        continue;
+      std::size_t best = store.NumReplicas();
+      double best_score = 0.0;
+      Estimate best_estimate;
+      std::size_t unpenalized_best = store.NumReplicas();
+      double unpenalized_cost = 0.0;
+      for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
+        const Estimate expected = ReferenceEstimate(
+            reference[r], model.Params(reference[r].config.encoding), query);
+        bool quarantined = false;
+        for (const std::size_t p :
+             reference[r].index.InvolvedPartitions(query))
+          quarantined = quarantined || store.health().Get(r, p) ==
+                                           PartitionHealth::kQuarantined;
+        if (quarantined) {
+          ++lossy_excluded;
+          continue;
+        }
+        const double score =
+            expected.cost_ms * store.latency().BrownoutPenalty(r);
+        if (best == store.NumReplicas() || score < best_score) {
+          best = r;
+          best_score = score;
+          best_estimate = expected;
+        }
+        if (unpenalized_best == store.NumReplicas() ||
+            expected.cost_ms < unpenalized_cost) {
+          unpenalized_best = r;
+          unpenalized_cost = expected.cost_ms;
+        }
       }
-      const double score =
-          expected.cost_ms * store.latency().BrownoutPenalty(r);
-      if (best == store.NumReplicas() || score < best_score) {
-        best = r;
-        best_score = score;
-        best_estimate = expected;
-      }
-      if (unpenalized_best == store.NumReplicas() ||
-          expected.cost_ms < unpenalized_cost) {
-        unpenalized_best = r;
-        unpenalized_cost = expected.cost_ms;
-      }
+      if (best != unpenalized_best) ++brownout_flips;
+      if (best == lossy) ++lossy_wins;
+
+      const BlotStore::RoutingDecision decision =
+          store.RouteQueryDetailed(query, model);
+      ASSERT_EQ(decision.replica_index, best);
+      ASSERT_EQ(Bits(decision.estimated_cost_ms),
+                Bits(best_estimate.cost_ms));
+      ASSERT_EQ(decision.predicted_partitions, best_estimate.partitions);
     }
-    if (best != unpenalized_best) ++brownout_flips;
-    if (best == lossy) ++lossy_wins;
-
-    const BlotStore::RoutingDecision decision =
-        store.RouteQueryDetailed(query, model);
-    ASSERT_EQ(decision.replica_index, best);
-    ASSERT_EQ(Bits(decision.estimated_cost_ms), Bits(best_estimate.cost_ms));
-    ASSERT_EQ(decision.predicted_partitions, best_estimate.partitions);
-  }
+  };
+  check_decisions(sketches);
+  ASSERT_FALSE(HasFatalFailure());
   // The penalty moved decisions, the quarantine excluded the lossy
   // replica from some, and the lossy replica still won others.
   EXPECT_GT(brownout_flips, 0u);
   EXPECT_GT(lossy_excluded, 0u);
   EXPECT_GT(lossy_wins, 0u);
+
+  // A repair sweep re-encodes the lost partition in place. The store's
+  // routing state must then match a sketch built fresh from the repaired
+  // replica, bit for bit, with no partition excluded any more.
+  ASSERT_EQ(store.RepairQuarantined(), 1u);
+  ASSERT_EQ(store.health().QuarantinedCount(), 0u);
+  std::vector<ReplicaSketch> repaired;
+  for (std::size_t r = 0; r < store.NumReplicas(); ++r)
+    repaired.push_back(ReplicaSketch::FromReplica(store.replica(r)));
+  EXPECT_EQ(repaired[lossy].counts, sketches[lossy].counts);
+  lossy_excluded = 0;
+  check_decisions(repaired);
+  EXPECT_EQ(lossy_excluded, 0u);
 }
 
 TEST_F(RoutingParityTest, ExecutedQueriesReportReferenceEstimate) {

@@ -82,10 +82,11 @@ void CheckParity(const SelectionInput& input, std::uint64_t seed) {
   const double optimal_gain = Gain(input, exhaustive.workload_cost);
   const double heuristic_gain = Gain(input, best_heuristic_cost);
   constexpr double kBound = (1.0 - 1.0 / 2.718281828459045) / 2.0;
-  if (optimal_gain > 1e-9)
+  if (optimal_gain > 1e-9) {
     EXPECT_GE(heuristic_gain, kBound * optimal_gain - 1e-6)
         << "seed " << seed << ": heuristic gain " << heuristic_gain
         << " vs optimal gain " << optimal_gain;
+  }
 }
 
 TEST(SolverParityTest, RandomInstancesUpToTenCandidates) {

@@ -83,8 +83,9 @@ TEST(MetricsConcurrencyTest, SnapshotWhileWritingIsConsistent) {
   // Snapshots taken mid-stream must be internally sane, never torn.
   for (int i = 0; i < 50; ++i) {
     const MetricsSnapshot snap = registry.Snapshot();
-    if (const CounterSnapshot* c = snap.FindCounter("live.total"))
+    if (const CounterSnapshot* c = snap.FindCounter("live.total")) {
       EXPECT_LE(c->value, registry.GetCounter("live.total").value());
+    }
   }
   stop.store(true);
   writer.get();

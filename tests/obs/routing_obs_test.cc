@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fault_injection.h"
 #include "core/store.h"
 #include "gen/taxi_generator.h"
 #include "obs/metrics.h"
@@ -129,7 +130,50 @@ TEST_F(RoutingObsTest, DisabledRegistryRecordsNothing) {
       snap.FindCounter("query.routed_total");
   // Either never registered, or registered by another test but not
   // incremented by this query.
-  if (total != nullptr) EXPECT_EQ(total->value, 0u);
+  if (total != nullptr) {
+    EXPECT_EQ(total->value, 0u);
+  }
+}
+
+// Only complete attempts feed the cost model's residual: a partial
+// answer's time measures the deadline, not the replica, so it must leave
+// the replica's cost_drift.error_pct where the complete attempts put it.
+TEST_F(RoutingObsTest, PartialAnswersLeaveCostDriftWhereCompleteOnesPutIt) {
+  BlotStore store(Dataset(dataset), universe);
+  store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
+                    EncodingScheme::FromName("ROW-SNAPPY")});
+  const auto error_pct = [] {
+    const obs::Labels labels = {{"replica", "0"}};
+    for (const obs::GaugeSnapshot& g :
+         obs::MetricsRegistry::global().Snapshot().gauges)
+      if (g.name == "cost_drift.error_pct" && g.labels == labels)
+        return g.value;
+    return -1.0;
+  };
+  for (int q = 0; q < 8; ++q)
+    ASSERT_FALSE(store.Execute(universe, model).partial);
+  const double complete = error_pct();
+  ASSERT_GT(complete, 0.0);
+
+  // Every read stalls past a 5 ms deadline: each answer is partial, and
+  // its measured time is the deadline's.
+  FaultPlan stall;
+  stall.probability = 1.0;
+  stall.kinds = {FaultKind::kLatency};
+  stall.max_fires_per_target = 0;
+  stall.latency_ms = 20;
+  FaultInjector::Global().Arm(stall);
+  BlotStore::ExecOptions exec;
+  exec.deadline_ms = 5.0;
+  exec.allow_partial = true;
+  for (int q = 0; q < 4; ++q) {
+    const BlotStore::RoutedResult routed =
+        store.Execute(universe, model, exec);
+    EXPECT_TRUE(routed.partial);
+    EXPECT_GT(routed.measured_cost_ms, 0.0);
+  }
+  FaultInjector::Global().Disarm();
+  EXPECT_EQ(error_pct(), complete);
 }
 
 TEST_F(RoutingObsTest, BatchExecutionRecordsSharedScanSavings) {

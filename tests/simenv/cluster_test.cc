@@ -88,8 +88,9 @@ TEST(SimClusterTest, MakespanBoundsAndWorkConservation) {
   for (std::size_t p = 0; p < f.sketch.index.NumPartitions(); ++p)
     expected += EnvironmentModel::LocalHadoop().PartitionScanMs(
         f.sketch.config.encoding, f.sketch.counts[p]);
-  if (job.local_tasks == job.tasks)
+  if (job.local_tasks == job.tasks) {
     EXPECT_NEAR(job.total_task_ms, expected, 1e-6);
+  }
 }
 
 TEST(SimClusterTest, MoreNodesShrinkMakespan) {
