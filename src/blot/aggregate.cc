@@ -2,69 +2,28 @@
 
 #include <algorithm>
 #include <set>
-#include <vector>
 
 namespace blot {
-namespace {
-
-struct PartialAggregate {
-  RangeStatistics statistics;
-  std::set<std::uint32_t> objects;
-};
-
-void FoldRecord(PartialAggregate& partial, const Record& r) {
-  RangeStatistics& s = partial.statistics;
-  ++s.count;
-  if (r.status == 1) {
-    ++s.occupied;
-    s.fare_cents_sum += r.fare_cents;
-  }
-  s.speed_sum += r.speed;
-  s.first_time = std::min(s.first_time, r.time);
-  s.last_time = std::max(s.last_time, r.time);
-  partial.objects.insert(r.oid);
-}
-
-}  // namespace
 
 RangeStatistics AggregateRange(const Replica& replica, const STRange& query,
                                ThreadPool* pool) {
-  const std::vector<std::size_t> involved =
-      replica.index().InvolvedPartitions(query);
-  std::vector<PartialAggregate> partials(involved.size());
-
-  const auto scan_one = [&](std::size_t k) {
-    const std::size_t p = involved[k];
-    const std::vector<Record> records = replica.DecodePartitionRecords(p);
-    partials[k].statistics.stats.records_scanned = records.size();
-    partials[k].statistics.stats.bytes_read =
-        replica.partition(p).data.size();
-    for (const Record& r : records)
-      if (query.Contains(r.Position())) FoldRecord(partials[k], r);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(involved.size(), scan_one);
-  } else {
-    for (std::size_t k = 0; k < involved.size(); ++k) scan_one(k);
-  }
-
-  RangeStatistics total;
-  total.stats.partitions_scanned = involved.size();
+  const QueryResult result = replica.Execute(query, pool);
+  RangeStatistics s;
+  s.stats = result.stats;
   std::set<std::uint32_t> objects;
-  for (const PartialAggregate& partial : partials) {
-    const RangeStatistics& s = partial.statistics;
-    total.count += s.count;
-    total.occupied += s.occupied;
-    total.speed_sum += s.speed_sum;
-    total.fare_cents_sum += s.fare_cents_sum;
-    total.first_time = std::min(total.first_time, s.first_time);
-    total.last_time = std::max(total.last_time, s.last_time);
-    total.stats.records_scanned += s.stats.records_scanned;
-    total.stats.bytes_read += s.stats.bytes_read;
-    objects.insert(partial.objects.begin(), partial.objects.end());
+  for (const Record& r : result.records) {
+    ++s.count;
+    if (r.status == 1) {
+      ++s.occupied;
+      s.fare_cents_sum += r.fare_cents;
+    }
+    s.speed_sum += r.speed;
+    s.first_time = std::min(s.first_time, r.time);
+    s.last_time = std::max(s.last_time, r.time);
+    objects.insert(r.oid);
   }
-  total.distinct_objects = objects.size();
-  return total;
+  s.distinct_objects = objects.size();
+  return s;
 }
 
 }  // namespace blot

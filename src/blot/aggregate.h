@@ -1,10 +1,10 @@
 // Aggregate range queries over a replica.
 //
 // The paper motivates BLOT systems with analytical workloads ("simple
-// statistics for each grid cell", Section III-C1). This module evaluates
-// the common statistics directly during the partition scan, so analytics
-// never materialize full result sets: each involved partition is decoded
-// once, filtered by range, and folded into a running aggregate.
+// statistics for each grid cell", Section III-C1). This module folds the
+// common statistics over the matches of Replica::Execute, so an aggregate
+// reads its partitions exactly as a range query does (zone-map skip,
+// block-range decode, partition cache, fault reporting).
 #ifndef BLOT_BLOT_AGGREGATE_H_
 #define BLOT_BLOT_AGGREGATE_H_
 
@@ -38,9 +38,9 @@ struct RangeStatistics {
   QueryStats stats;
 };
 
-// Computes RangeStatistics for `query` on `replica`, scanning involved
-// partitions (in parallel when `pool` is non-null) without materializing
-// matching records.
+// Computes RangeStatistics for `query` on `replica`: runs
+// `replica.Execute(query, pool)` and folds its matches; `stats` is that
+// query's accounting. Throws PartitionFaultError as Execute does.
 RangeStatistics AggregateRange(const Replica& replica, const STRange& query,
                                ThreadPool* pool = nullptr);
 

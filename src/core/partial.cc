@@ -1,50 +1,11 @@
 #include "core/partial.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <vector>
 
 #include "util/error.h"
 
 namespace blot {
-namespace {
-
-// Per-axis containment factor: fraction of the centroid interval for
-// which [c - e/2, c + e/2] lies inside [cov_lo, cov_hi].
-double AxisContainment(double u_lo, double u_hi, double cov_lo,
-                       double cov_hi, double extent) {
-  if (extent > cov_hi - cov_lo) return 0.0;
-  const double c_lo = u_lo + extent / 2;
-  const double c_hi = u_hi - extent / 2;
-  if (c_lo >= c_hi) {
-    // Degenerate centroid range (query spans the axis): the single
-    // admissible instance is centered; it is contained iff the coverage
-    // spans the whole extent around the center.
-    const double center = (u_lo + u_hi) / 2;
-    return (center - extent / 2 >= cov_lo - 1e-12 &&
-            center + extent / 2 <= cov_hi + 1e-12)
-               ? 1.0
-               : 0.0;
-  }
-  const double i_lo = std::max(c_lo, cov_lo + extent / 2);
-  const double i_hi = std::min(c_hi, cov_hi - extent / 2);
-  return std::clamp((i_hi - i_lo) / (c_hi - c_lo), 0.0, 1.0);
-}
-
-}  // namespace
-
-double ContainmentProbability(const STRange& coverage,
-                              const RangeSize& query_size,
-                              const STRange& universe) {
-  require(!coverage.empty() && !universe.empty(),
-          "ContainmentProbability: empty range");
-  return AxisContainment(universe.x_min(), universe.x_max(),
-                         coverage.x_min(), coverage.x_max(), query_size.w) *
-         AxisContainment(universe.y_min(), universe.y_max(),
-                         coverage.y_min(), coverage.y_max(), query_size.h) *
-         AxisContainment(universe.t_min(), universe.t_max(),
-                         coverage.t_min(), coverage.t_max(), query_size.t);
-}
 
 STRange DensestSpatialBox(const Dataset& sample, const STRange& universe,
                           double record_fraction) {
@@ -89,186 +50,6 @@ STRange DensestSpatialBox(const Dataset& sample, const STRange& universe,
   return STRange::FromBounds(quantile(xs, alpha), quantile(xs, 1 - alpha),
                              quantile(ys, alpha), quantile(ys, 1 - alpha),
                              universe.t_min(), universe.t_max());
-}
-
-std::string PartialCandidate::Name() const {
-  return config.Name() + "@partial";
-}
-
-ReplicaSketch SketchPartialReplica(const Dataset& sample,
-                                   const PartialCandidate& candidate,
-                                   const STRange& universe,
-                                   std::uint64_t total_records,
-                                   double compression_ratio) {
-  require(universe.Contains(candidate.coverage),
-          "SketchPartialReplica: coverage outside universe");
-  const Dataset covered(sample.FilterByRange(candidate.coverage));
-  require(!covered.empty(),
-          "SketchPartialReplica: no sample records in coverage");
-  const double covered_fraction = static_cast<double>(covered.size()) /
-                                  static_cast<double>(sample.size());
-  const std::uint64_t covered_records = static_cast<std::uint64_t>(
-      std::llround(static_cast<double>(total_records) * covered_fraction));
-  ReplicaSketch sketch = ReplicaSketch::FromSample(
-      covered, candidate.config, candidate.coverage, covered_records,
-      compression_ratio);
-  return sketch;
-}
-
-void MixedSelectionInput::Check() const {
-  full.Check();
-  require(contained_cost.size() == full.NumQueries() &&
-              containment.size() == full.NumQueries(),
-          "MixedSelectionInput: query-row mismatch");
-  for (std::size_t i = 0; i < contained_cost.size(); ++i) {
-    require(contained_cost[i].size() == partial_storage.size() &&
-                containment[i].size() == partial_storage.size(),
-            "MixedSelectionInput: partial-column mismatch");
-    for (double p : containment[i])
-      require(p >= 0 && p <= 1, "MixedSelectionInput: bad probability");
-    for (double c : contained_cost[i])
-      require(c >= 0, "MixedSelectionInput: negative cost");
-  }
-  for (double s : partial_storage)
-    require(s > 0, "MixedSelectionInput: non-positive partial storage");
-}
-
-void AddPartialCandidates(MixedSelectionInput& input,
-                          const std::vector<ReplicaSketch>& partial_sketches,
-                          const Workload& workload, const CostModel& model,
-                          const STRange& universe) {
-  const std::size_t n = workload.size();
-  input.contained_cost.resize(n);
-  input.containment.resize(n);
-  for (const ReplicaSketch& sketch : partial_sketches) {
-    input.partial_storage.push_back(
-        static_cast<double>(sketch.storage_bytes));
-    for (std::size_t i = 0; i < n; ++i) {
-      const GroupedQuery& q = workload.queries()[i].query;
-      // Conditional on containment, the instance is approximately uniform
-      // within the coverage, so the grouped cost against the coverage as
-      // universe is the right conditional estimate.
-      input.contained_cost[i].push_back(model.QueryCostMs(sketch, q));
-      input.containment[i].push_back(
-          ContainmentProbability(sketch.universe, q.size, universe));
-    }
-  }
-}
-
-namespace {
-
-// Per-query cost given best-full cost and one partial replica.
-double WithPartial(double best_full, double contained_cost,
-                   double containment) {
-  return std::min(best_full, containment * contained_cost +
-                                 (1 - containment) * best_full);
-}
-
-}  // namespace
-
-double MixedSubsetCost(const MixedSelectionInput& input,
-                       std::span<const std::size_t> full_chosen,
-                       std::span<const std::size_t> partial_chosen) {
-  const std::size_t n = input.full.NumQueries();
-  if (full_chosen.empty())
-    return n == 0 ? 0.0 : std::numeric_limits<double>::infinity();
-  double total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double best_full = std::numeric_limits<double>::infinity();
-    for (std::size_t j : full_chosen)
-      best_full = std::min(best_full, input.full.cost[i][j]);
-    double best = best_full;
-    for (std::size_t k : partial_chosen)
-      best = std::min(best, WithPartial(best_full, input.contained_cost[i][k],
-                                        input.containment[i][k]));
-    total += input.full.weights[i] * best;
-  }
-  return total;
-}
-
-MixedSelectionResult SelectGreedyMixed(const MixedSelectionInput& input) {
-  input.Check();
-  MixedSelectionResult result;
-  const std::size_t n = input.full.NumQueries();
-  const std::size_t m_full = input.full.NumReplicas();
-  const std::size_t m_partial = input.NumPartials();
-
-  std::vector<bool> full_taken(m_full, false);
-  std::vector<bool> partial_taken(m_partial, false);
-  double storage_used = 0;
-
-  const auto current_cost = [&]() {
-    return MixedSubsetCost(input, result.full_chosen,
-                           result.partial_chosen);
-  };
-
-  // Bootstrap penalty as in SelectGreedy: worst full cost per query.
-  double bootstrap_cost = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double worst = 0;
-    for (std::size_t j = 0; j < m_full; ++j)
-      worst = std::max(worst, input.full.cost[i][j]);
-    bootstrap_cost += input.full.weights[i] * worst;
-  }
-
-  bool first_pick = true;
-  for (;;) {
-    const double base_cost =
-        result.full_chosen.empty() ? bootstrap_cost : current_cost();
-    double best_score = 0;
-    int best_kind = -1;  // 0 full, 1 partial
-    std::size_t best_index = 0;
-    for (std::size_t j = 0; j < m_full; ++j) {
-      if (full_taken[j]) continue;
-      if (storage_used + input.full.storage_bytes[j] >
-          input.full.budget_bytes)
-        continue;
-      result.full_chosen.push_back(j);
-      const double gain = base_cost - current_cost();
-      result.full_chosen.pop_back();
-      const double score = gain / input.full.storage_bytes[j];
-      if (score > best_score || (first_pick && best_kind < 0)) {
-        best_score = score;
-        best_kind = 0;
-        best_index = j;
-      }
-    }
-    // Partial replicas only help once a full replica exists.
-    if (!result.full_chosen.empty()) {
-      for (std::size_t k = 0; k < m_partial; ++k) {
-        if (partial_taken[k]) continue;
-        if (storage_used + input.partial_storage[k] >
-            input.full.budget_bytes)
-          continue;
-        result.partial_chosen.push_back(k);
-        const double gain = base_cost - current_cost();
-        result.partial_chosen.pop_back();
-        const double score = gain / input.partial_storage[k];
-        if (score > best_score) {
-          best_score = score;
-          best_kind = 1;
-          best_index = k;
-        }
-      }
-    }
-    if (best_kind < 0) break;
-    first_pick = false;
-    if (best_kind == 0) {
-      full_taken[best_index] = true;
-      storage_used += input.full.storage_bytes[best_index];
-      result.full_chosen.push_back(best_index);
-    } else {
-      partial_taken[best_index] = true;
-      storage_used += input.partial_storage[best_index];
-      result.partial_chosen.push_back(best_index);
-    }
-  }
-
-  std::sort(result.full_chosen.begin(), result.full_chosen.end());
-  std::sort(result.partial_chosen.begin(), result.partial_chosen.end());
-  result.workload_cost = current_cost();
-  result.storage_used = storage_used;
-  return result;
 }
 
 }  // namespace blot

@@ -1,44 +1,19 @@
-// Partial replication — the paper's future-work extension (Section VII):
-// "The use of partial replication, where only frequently accessed data
-// ranges are replicated, is one of our future work."
+// Hot-region heuristic for partial replication — the paper's future-work
+// extension (Section VII): "The use of partial replication, where only
+// frequently accessed data ranges are replicated, is one of our future
+// work."
 //
 // A partial replica materializes only a sub-range (the hot region) of the
-// universe, under its own partitioning/encoding configuration. A query
-// can be served by a partial replica only when its range lies entirely
-// inside the replica's coverage; otherwise it falls back to a full
-// replica. For grouped queries the cost model extends naturally: with the
-// uniform-centroid position model, the probability that a query instance
-// is contained in the coverage is a per-axis interval ratio (the same
-// construction as Eq. 12), and the expected cost of a mixed replica set is
-//
-//   Cost(q, R) = min( best_full,
-//                     min_p  pc(q,p) * Cost(q,p) + (1-pc(q,p)) * best_full )
-//
-// where best_full is the best full-replica cost and pc the containment
-// probability. Selection over mixed candidate sets keeps the greedy
-// cost-gain-per-byte structure of Algorithm 1; the MIP formulation does
-// not carry over directly (the min() is no longer linear in the y's), so
-// partial selection ships greedy-only — mirroring the paper's position
-// that greedy is the scalable path.
+// universe; BlotStore::AddPartialReplica serves a query from it only when
+// the query lies entirely inside that coverage. This header picks the
+// coverage from a sample of the data.
 #ifndef BLOT_CORE_PARTIAL_H_
 #define BLOT_CORE_PARTIAL_H_
 
-#include <string>
-#include <vector>
-
-#include "core/cost_model.h"
-#include "core/selection.h"
+#include "blot/dataset.h"
+#include "util/range.h"
 
 namespace blot {
-
-// Probability that a random instance of `query_size` (centroid uniform in
-// the universe's centroid range) lies entirely within `coverage`.
-// Dimensions where the query exceeds the coverage contribute zero; where
-// the query spans the whole universe, containment requires coverage to
-// span it too.
-double ContainmentProbability(const STRange& coverage,
-                              const RangeSize& query_size,
-                              const STRange& universe);
 
 // The smallest axis-aligned spatial box (full time extent) centered on
 // the data's spatial median that contains at least `record_fraction` of
@@ -46,62 +21,6 @@ double ContainmentProbability(const STRange& coverage,
 // hotspot-clustered data concentrates most records in a small box.
 STRange DensestSpatialBox(const Dataset& sample, const STRange& universe,
                           double record_fraction);
-
-// One partial candidate: a configuration restricted to `coverage`.
-struct PartialCandidate {
-  ReplicaConfig config;
-  STRange coverage;
-
-  std::string Name() const;
-};
-
-// Sketch of a partial candidate built from `sample`: the sub-range is
-// partitioned on the records inside it, counts scale with the covered
-// fraction, and storage is proportional to covered records.
-ReplicaSketch SketchPartialReplica(const Dataset& sample,
-                                   const PartialCandidate& candidate,
-                                   const STRange& universe,
-                                   std::uint64_t total_records,
-                                   double compression_ratio);
-
-// A mixed selection instance: full candidates (as in SelectionInput) plus
-// partial candidates with per-query containment probabilities.
-struct MixedSelectionInput {
-  SelectionInput full;                    // full-replica instance
-  std::vector<double> partial_storage;    // per partial candidate
-  // contained_cost[i][k]: Cost(q_i, partial_k) given containment.
-  std::vector<std::vector<double>> contained_cost;
-  // containment[i][k]: pc(q_i, partial_k).
-  std::vector<std::vector<double>> containment;
-
-  std::size_t NumPartials() const { return partial_storage.size(); }
-  void Check() const;
-};
-
-// Builds the partial side of a mixed instance.
-void AddPartialCandidates(MixedSelectionInput& input,
-                          const std::vector<ReplicaSketch>& partial_sketches,
-                          const Workload& workload, const CostModel& model,
-                          const STRange& universe);
-
-struct MixedSelectionResult {
-  std::vector<std::size_t> full_chosen;
-  std::vector<std::size_t> partial_chosen;
-  double workload_cost = 0.0;
-  double storage_used = 0.0;
-};
-
-// Expected workload cost of an explicit mixed set (infinite if no full
-// replica is chosen and the workload is non-empty).
-double MixedSubsetCost(const MixedSelectionInput& input,
-                       std::span<const std::size_t> full_chosen,
-                       std::span<const std::size_t> partial_chosen);
-
-// Greedy selection over full + partial candidates (Algorithm 1 extended
-// with the containment-weighted cost). Always keeps at least one full
-// replica when the budget allows, since partial replicas alone cannot
-// answer every query.
-MixedSelectionResult SelectGreedyMixed(const MixedSelectionInput& input);
 
 }  // namespace blot
 

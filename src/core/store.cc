@@ -772,7 +772,8 @@ void BlotStore::RecordQuery(const RoutedResult& routed) {
       .Increment();
   estimated_ms.Observe(routed.estimated_cost_ms);
   measured_ms.Observe(routed.measured_cost_ms);
-  if (routed.measured_cost_ms > 0)
+  // A partial answer's time measures its deadline, not the replica.
+  if (!routed.partial && routed.measured_cost_ms > 0)
     CostErrorHistogram().Observe(std::abs(obs::SignedCostErrorPct(
         routed.estimated_cost_ms, routed.measured_cost_ms)));
   np_predicted.Increment(routed.predicted_partitions);

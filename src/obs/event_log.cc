@@ -48,13 +48,8 @@ std::string Event::ToJson() const {
                     "\",\"category\":\"" + JsonEscapeString(category) +
                     "\",\"message\":\"" + JsonEscapeString(message) + "\"";
   if (!fields.empty()) {
-    out += ",\"fields\":{";
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"" + JsonEscapeString(fields[i].first) + "\":\"" +
-             JsonEscapeString(fields[i].second) + "\"";
-    }
-    out += "}";
+    out += ",\"fields\":";
+    out += JsonLabels(fields);
   }
   return out + "}";
 }

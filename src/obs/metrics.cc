@@ -46,16 +46,6 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string JsonLabels(const Labels& labels) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(labels[i].first) + "\":\"" +
-           JsonEscape(labels[i].second) + "\"";
-  }
-  return out + "}";
-}
-
 // Prometheus metric names allow [a-zA-Z0-9_:]; we map everything else
 // (notably '.' and '-') to '_'.
 std::string PromName(std::string_view name) {
@@ -118,6 +108,20 @@ double HistogramPercentile(const std::vector<double>& bounds,
 std::string FormatJsonNumber(double v) { return FormatDouble(v); }
 
 std::string JsonEscapeString(std::string_view s) { return JsonEscape(s); }
+
+std::string JsonLabels(const Labels& labels) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '"';
+    out += JsonEscape(labels[i].first);
+    out += "\":\"";
+    out += JsonEscape(labels[i].second);
+    out += '"';
+  }
+  out += '}';
+  return out;
+}
 
 std::uint64_t MonotonicNanos() {
   return static_cast<std::uint64_t>(

@@ -220,6 +220,9 @@ double HistogramPercentile(const std::vector<double>& bounds,
 std::string FormatJsonNumber(double v);
 // Escapes `"` `\` and control characters for a JSON string literal.
 std::string JsonEscapeString(std::string_view s);
+// `labels` as a JSON object of strings, {"key":"value",...}, both sides
+// escaped; also writes an event's fields.
+std::string JsonLabels(const Labels& labels);
 
 }  // namespace blot::obs
 

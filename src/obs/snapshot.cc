@@ -18,16 +18,6 @@ std::uint64_t WallMillis() {
           .count());
 }
 
-std::string JsonLabels(const Labels& labels) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscapeString(labels[i].first) + "\":\"" +
-           JsonEscapeString(labels[i].second) + "\"";
-  }
-  return out + "}";
-}
-
 using MetricKey = std::pair<std::string, Labels>;
 
 }  // namespace

@@ -359,7 +359,9 @@ struct Iteration {
         configs.size());
     for (std::size_t r = 0; r < configs.size(); ++r) {
       const Replica& replica = store.replica(r);
-      const std::string tag = "[" + configs[r].Name() + "]";
+      std::string tag = "[";
+      tag += configs[r].Name();
+      tag += ']';
 
       // Fused decode-filter scan (the cache-off default inside Execute).
       Check("replica-execute" + tag, query, expected, [&] {

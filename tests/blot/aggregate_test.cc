@@ -125,5 +125,25 @@ TEST(AggregateTest, ScanAccountingMatchesQueryPath) {
   EXPECT_EQ(agg.count, full.records.size());
 }
 
+// A slab along the universe's west edge: the index involves every
+// partition whose cell reaches the edge, and a stored zone (the tight box
+// around the partition's records) excludes most of them. The aggregate
+// must skip the same partitions the query path skips.
+TEST(AggregateTest, ZonePrunedPartitionsMatchQueryPath) {
+  const Fixture f;
+  const STRange query = STRange::FromBounds(
+      f.universe.x_min(), f.universe.x_min() + f.universe.Width() * 1e-4,
+      f.universe.y_min(), f.universe.y_max(), f.universe.t_min(),
+      f.universe.t_max());
+  const QueryResult full = f.replica.Execute(query);
+  ASSERT_LT(full.stats.partitions_scanned,
+            f.replica.index().InvolvedPartitions(query).size());
+  const RangeStatistics agg = AggregateRange(f.replica, query);
+  EXPECT_EQ(agg.stats.partitions_scanned, full.stats.partitions_scanned);
+  EXPECT_EQ(agg.stats.records_scanned, full.stats.records_scanned);
+  EXPECT_EQ(agg.stats.bytes_read, full.stats.bytes_read);
+  EXPECT_EQ(agg.count, full.records.size());
+}
+
 }  // namespace
 }  // namespace blot

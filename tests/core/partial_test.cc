@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/candidates.h"
 #include "gen/taxi_generator.h"
-#include "util/error.h"
 
 namespace blot {
 namespace {
@@ -14,7 +10,6 @@ namespace {
 struct Fixture {
   Dataset sample;
   STRange universe;
-  CostModel model{EnvironmentModel::AmazonS3Emr()};
 
   Fixture() {
     TaxiFleetConfig config;
@@ -24,47 +19,6 @@ struct Fixture {
     universe = config.Universe();
   }
 };
-
-TEST(ContainmentProbabilityTest, FullCoverageAlwaysContains) {
-  const Fixture f;
-  const RangeSize q = {f.universe.Width() * 0.2, f.universe.Height() * 0.2,
-                       f.universe.Duration() * 0.2};
-  EXPECT_DOUBLE_EQ(ContainmentProbability(f.universe, q, f.universe), 1.0);
-}
-
-TEST(ContainmentProbabilityTest, QueryLargerThanCoverageNeverContained) {
-  const Fixture f;
-  const STRange half = STRange::FromBounds(
-      f.universe.x_min(), f.universe.Centroid().x, f.universe.y_min(),
-      f.universe.y_max(), f.universe.t_min(), f.universe.t_max());
-  const RangeSize q = {f.universe.Width() * 0.7, f.universe.Height() * 0.1,
-                       f.universe.Duration() * 0.1};
-  EXPECT_DOUBLE_EQ(ContainmentProbability(half, q, f.universe), 0.0);
-}
-
-TEST(ContainmentProbabilityTest, MonteCarloAgreement) {
-  const Fixture f;
-  Rng rng(17);
-  const STRange coverage = STRange::FromCentroid(
-      {f.universe.Width() * 0.6, f.universe.Height() * 0.5,
-       f.universe.Duration() * 0.8},
-      f.universe.Centroid());
-  for (const double frac : {0.05, 0.15, 0.3}) {
-    const RangeSize q = {f.universe.Width() * frac,
-                         f.universe.Height() * frac,
-                         f.universe.Duration() * frac};
-    const double predicted =
-        ContainmentProbability(coverage, q, f.universe);
-    int contained = 0;
-    constexpr int kTrials = 5000;
-    for (int t = 0; t < kTrials; ++t) {
-      const STRange instance = SampleQueryInstance({q}, f.universe, rng);
-      if (coverage.Contains(instance)) ++contained;
-    }
-    EXPECT_NEAR(static_cast<double>(contained) / kTrials, predicted, 0.02)
-        << "frac " << frac;
-  }
-}
 
 TEST(DensestSpatialBoxTest, CoversRequestedFractionCompactly) {
   const Fixture f;
@@ -78,136 +32,6 @@ TEST(DensestSpatialBoxTest, CoversRequestedFractionCompactly) {
                                (f.universe.Width() * f.universe.Height());
   EXPECT_LT(area_fraction, 0.5);
   EXPECT_TRUE(f.universe.Contains(box));
-}
-
-TEST(SketchPartialReplicaTest, ScalesWithCoveredFraction) {
-  const Fixture f;
-  const PartialCandidate candidate{
-      {{.spatial_partitions = 16, .temporal_partitions = 8},
-       EncodingScheme::FromName("COL-GZIP")},
-      DensestSpatialBox(f.sample, f.universe, 0.5)};
-  const std::uint64_t total = 1'000'000;
-  const ReplicaSketch sketch =
-      SketchPartialReplica(f.sample, candidate, f.universe, total, 0.4);
-  EXPECT_EQ(sketch.universe, candidate.coverage);
-  // Covered records ~ half the total; storage proportional.
-  EXPECT_NEAR(static_cast<double>(sketch.total_records) /
-                  static_cast<double>(total),
-              0.5, 0.1);
-  EXPECT_LT(sketch.storage_bytes,
-            static_cast<std::uint64_t>(0.6 * 0.4 * kRecordRowBytes *
-                                       static_cast<double>(total)));
-}
-
-TEST(SketchPartialReplicaTest, ValidatesCoverage) {
-  const Fixture f;
-  const PartialCandidate outside{
-      {{.spatial_partitions = 4, .temporal_partitions = 4},
-       EncodingScheme::FromName("ROW-PLAIN")},
-      STRange::FromBounds(0, 1, 0, 1, 0, 1)};
-  EXPECT_THROW(
-      SketchPartialReplica(f.sample, outside, f.universe, 1000, 0.5),
-      InvalidArgument);
-}
-
-// A hand-built mixed instance: one full replica, one partial that is much
-// cheaper for the (fully contained) small query.
-MixedSelectionInput TinyMixed(double budget) {
-  MixedSelectionInput input;
-  input.full.cost = {{100}, {50}};  // q0 small, q1 large; one full replica
-  input.full.weights = {1, 1};
-  input.full.storage_bytes = {30};
-  input.full.budget_bytes = budget;
-  input.partial_storage = {10};
-  input.contained_cost = {{5}, {1000}};
-  input.containment = {{0.8}, {0.0}};
-  return input;
-}
-
-TEST(MixedSubsetCostTest, BlendsContainmentWithFallback) {
-  const MixedSelectionInput input = TinyMixed(100);
-  const std::size_t fulls[] = {0};
-  EXPECT_DOUBLE_EQ(MixedSubsetCost(input, fulls, {}), 150);
-  const std::size_t partials[] = {0};
-  // q0: 0.8*5 + 0.2*100 = 24; q1: containment 0 -> full 50.
-  EXPECT_DOUBLE_EQ(MixedSubsetCost(input, fulls, partials), 74);
-  EXPECT_TRUE(std::isinf(MixedSubsetCost(input, {}, partials)));
-}
-
-TEST(SelectGreedyMixedTest, AddsPartialWhenItPaysOff) {
-  const MixedSelectionResult r = SelectGreedyMixed(TinyMixed(100));
-  ASSERT_EQ(r.full_chosen.size(), 1u);
-  ASSERT_EQ(r.partial_chosen.size(), 1u);
-  EXPECT_DOUBLE_EQ(r.workload_cost, 74);
-  EXPECT_DOUBLE_EQ(r.storage_used, 40);
-}
-
-TEST(SelectGreedyMixedTest, SkipsPartialWhenBudgetOnlyFitsFull) {
-  const MixedSelectionResult r = SelectGreedyMixed(TinyMixed(35));
-  EXPECT_EQ(r.full_chosen.size(), 1u);
-  EXPECT_TRUE(r.partial_chosen.empty());
-  EXPECT_DOUBLE_EQ(r.workload_cost, 150);
-}
-
-TEST(SelectGreedyMixedTest, NeverChoosesPartialsAlone) {
-  MixedSelectionInput input = TinyMixed(12);  // only the partial fits
-  const MixedSelectionResult r = SelectGreedyMixed(input);
-  EXPECT_TRUE(r.full_chosen.empty());
-  EXPECT_TRUE(r.partial_chosen.empty());
-  EXPECT_TRUE(std::isinf(r.workload_cost));
-}
-
-TEST(SelectGreedyMixedTest, EndToEndBeatsFullOnlyUnderTightBudget) {
-  // Real pipeline: full candidates + hotspot partials, hotspot-heavy
-  // workload, budget that fits one full replica plus partials only.
-  const Fixture f;
-  const std::uint64_t total_records = 650'000'000;
-  Workload workload;
-  const STRange hotspot = DensestSpatialBox(f.sample, f.universe, 0.5);
-  // Frequent small queries inside the hotspot + occasional full sweeps.
-  workload.Add({{hotspot.Width() * 0.1, hotspot.Height() * 0.1,
-                 f.universe.Duration() * 0.02}},
-               10.0);
-  workload.Add({{hotspot.Width() * 0.3, hotspot.Height() * 0.3,
-                 f.universe.Duration() * 0.1}},
-               5.0);
-  workload.Add({f.universe.Size()}, 1.0);
-
-  const auto ratios =
-      MeasureCompressionRatios(f.sample, AllEncodingSchemes(), 5000);
-  std::vector<PartitioningSpec> partitionings;
-  for (const std::size_t s : {16u, 256u})
-    for (const std::size_t t : {16u, 64u})
-      partitionings.push_back(
-          {.spatial_partitions = s, .temporal_partitions = t});
-  CandidateMatrixResult matrix = BuildSelectionInputGrouped(
-      f.sample, f.universe, partitionings, AllEncodingSchemes(), ratios,
-      total_records, workload, f.model, /*budget*/ 1.0);
-
-  MixedSelectionInput mixed;
-  mixed.full = matrix.input;
-  // Budget: 1.4x one raw copy — room for one full replica + partials.
-  mixed.full.budget_bytes =
-      1.4 * static_cast<double>(total_records) * kRecordRowBytes;
-  std::vector<ReplicaSketch> partial_sketches;
-  for (const PartitioningSpec& spec : partitionings) {
-    const PartialCandidate candidate{
-        {spec, EncodingScheme::FromName("COL-GZIP")}, hotspot};
-    partial_sketches.push_back(SketchPartialReplica(
-        f.sample, candidate, f.universe, total_records,
-        ratios.at("COL-GZIP")));
-  }
-  AddPartialCandidates(mixed, partial_sketches, workload, f.model,
-                       f.universe);
-
-  const MixedSelectionResult with_partials = SelectGreedyMixed(mixed);
-  SelectionInput full_only = matrix.input;
-  full_only.budget_bytes = mixed.full.budget_bytes;
-  const SelectionResult baseline = SelectGreedy(full_only);
-
-  ASSERT_FALSE(with_partials.full_chosen.empty());
-  EXPECT_LE(with_partials.workload_cost, baseline.workload_cost + 1e-6);
-  EXPECT_LE(with_partials.storage_used, mixed.full.budget_bytes);
 }
 
 }  // namespace

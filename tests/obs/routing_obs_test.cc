@@ -135,9 +135,10 @@ TEST_F(RoutingObsTest, DisabledRegistryRecordsNothing) {
   }
 }
 
-// Only complete attempts feed the cost model's residual: a partial
-// answer's time measures the deadline, not the replica, so it must leave
-// the replica's cost_drift.error_pct where the complete attempts put it.
+// Only complete attempts feed the cost model's residual and the cost
+// error histogram: a partial answer's time measures the deadline, not the
+// replica, so it must leave the replica's cost_drift.error_pct where the
+// complete attempts put it.
 TEST_F(RoutingObsTest, PartialAnswersLeaveCostDriftWhereCompleteOnesPutIt) {
   BlotStore store(Dataset(dataset), universe);
   store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
@@ -174,6 +175,13 @@ TEST_F(RoutingObsTest, PartialAnswersLeaveCostDriftWhereCompleteOnesPutIt) {
   }
   FaultInjector::Global().Disarm();
   EXPECT_EQ(error_pct(), complete);
+  // Nor do they enter query.cost_error_pct: it holds the 8 complete ones.
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::global().Snapshot();
+  const obs::HistogramSnapshot* errors =
+      snap.FindHistogram("query.cost_error_pct");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->count, 8u);
 }
 
 TEST_F(RoutingObsTest, BatchExecutionRecordsSharedScanSavings) {

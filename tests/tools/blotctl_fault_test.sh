@@ -86,6 +86,13 @@ grep -q "degraded" healthy.txt && fail "healthy run claims degraded?"
     || fail "latency query"
 grep -q "1500 records" out.txt || fail "latency record count"
 
+# Exit 5: every read stalls past the deadline, so the answer is partial.
+# Its time measures the deadline, so --profile prints no cost error.
+expect_exit 5 "partial" -- "$BLOTCTL" store-query --dir solostore \
+    --range "$RANGE" --deadline-ms 5 --allow-partial --profile \
+    --inject-faults "seed=7;p=1;kinds=latency;latency=20;fires=0"
+grep -q "error=n/a (partial)" out.txt || fail "partial profile error"
+
 # stats accepts the flag and still emits a snapshot (failover metrics
 # included once faults fired).
 "$BLOTCTL" stats --dir duostore --queries 4 \

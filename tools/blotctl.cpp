@@ -429,13 +429,18 @@ int CmdStoreBuild(const Flags& flags) {
 void PrintProfile(const BlotStore::RoutedResult& routed) {
   std::fputs(routed.profile.Render().c_str(), stdout);
   std::printf("replica=%zu attempts=%zu degraded=%s\n"
-              "estimated_cost=%.3f ms measured_cost=%.3f ms "
-              "error=%.1f%%\n",
+              "estimated_cost=%.3f ms measured_cost=%.3f ms ",
               routed.replica_index, routed.attempts,
               routed.degraded ? "yes" : "no", routed.estimated_cost_ms,
-              routed.measured_cost_ms,
-              std::abs(obs::SignedCostErrorPct(routed.estimated_cost_ms,
-                                               routed.measured_cost_ms)));
+              routed.measured_cost_ms);
+  // A partial answer's time measures its deadline, not the replica.
+  if (routed.partial) {
+    std::printf("error=n/a (partial)\n");
+  } else {
+    std::printf("error=%.1f%%\n",
+                std::abs(obs::SignedCostErrorPct(routed.estimated_cost_ms,
+                                                 routed.measured_cost_ms)));
+  }
 }
 
 // Fills `root` with the span tree of one routed query, rendered from its
