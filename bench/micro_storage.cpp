@@ -89,7 +89,7 @@ void BM_QueryExecute(benchmark::State& state) {
 BENCHMARK(BM_QueryExecute)->Arg(5)->Arg(25);
 
 void BM_CostModelGroupedQuery(benchmark::State& state) {
-  const ReplicaSketch sketch = ReplicaSketch::FromReplica(SharedReplica());
+  const ReplicaSketch& sketch = SharedReplica().sketch();
   const CostModel model{EnvironmentModel::AmazonS3Emr()};
   const STRange universe = bench::PaperUniverse();
   const GroupedQuery query{

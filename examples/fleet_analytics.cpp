@@ -54,8 +54,7 @@ int main() {
           universe.t_min(), universe.t_max());
       const auto routed = store.Execute(cell, model, &pool);
       routed_cost_ms += routed.estimated_cost_ms;
-      pinned_cost_ms += model.QueryCostMs(
-          ReplicaSketch::FromReplica(store.replica(1)), cell);
+      pinned_cost_ms += model.QueryCostMs(store.replica(1).sketch(), cell);
       std::size_t occupied = 0;
       for (const Record& r : routed.result.records)
         if (r.status == 1) ++occupied;
@@ -83,8 +82,7 @@ int main() {
         universe.t_min() + 86400.0 * (day + 1));
     const auto routed = store.Execute(slab, model, &pool);
     routed_cost_ms += routed.estimated_cost_ms;
-    pinned_cost_ms += model.QueryCostMs(
-        ReplicaSketch::FromReplica(store.replica(1)), slab);
+    pinned_cost_ms += model.QueryCostMs(store.replica(1).sketch(), slab);
     std::size_t occupied = 0;
     for (const Record& r : routed.result.records)
       if (r.status == 1) ++occupied;

@@ -102,9 +102,7 @@ int main() {
             !store.replica(r).universe().Contains(query))
           continue;
         best = std::min(best,
-                        model.QueryCostMs(
-                            ReplicaSketch::FromReplica(store.replica(r)),
-                            query));
+                        model.QueryCostMs(store.replica(r).sketch(), query));
       }
       total_ms += best;
     }

@@ -40,19 +40,21 @@ std::optional<STRange> ComputePartitionZone(
                              static_cast<double>(t_max));
 }
 
-// Encodes one partition's records under the replica's encoding config —
-// the shared physical-encode step of Build and RestorePartition.
+// Encodes one partition's records under `scheme`, or under the smallest
+// codec over its layout when `best_codec` — the shared physical-encode
+// step of Build and RestorePartition.
 StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
-                                      const ReplicaConfig& config) {
+                                      const EncodingScheme& scheme,
+                                      bool best_codec) {
   StoredPartition stored;
   stored.num_records = records.size();
   if (const auto zone = ComputePartitionZone(records)) {
     stored.has_zone = true;
     stored.zone = *zone;
   }
-  if (config.policy == EncodingPolicy::kBestCodecPerPartition) {
+  if (best_codec) {
     // Try every codec over the replica's layout and keep the smallest.
-    const Bytes serialized = SerializeRecords(records, config.encoding.layout);
+    const Bytes serialized = SerializeRecords(records, scheme.layout);
     stored.codec = CodecKind::kNone;
     stored.data = GetCodec(CodecKind::kNone).Compress(serialized);
     for (const CodecKind kind : AllCodecKinds()) {
@@ -64,8 +66,8 @@ StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
       }
     }
   } else {
-    stored.codec = config.encoding.codec;
-    stored.data = EncodePartition(records, config.encoding);
+    stored.codec = scheme.codec;
+    stored.data = EncodePartition(records, scheme);
   }
   stored.checksum = Fnv1a64(stored.data);
   return stored;
@@ -79,25 +81,27 @@ void Replica::InitCacheState(std::size_t num_partitions) {
       new std::atomic<std::uint8_t>[num_partitions]());
 }
 
+void Replica::Resketch() {
+  sketch_.counts.resize(partitions_.size());
+  sketch_.total_records = 0;
+  sketch_.storage_bytes = 0;
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    sketch_.counts[p] = partitions_[p].num_records;
+    sketch_.total_records += partitions_[p].num_records;
+    sketch_.storage_bytes += partitions_[p].data.size();
+  }
+}
+
 Replica::Replica(const Replica& other)
-    : config_(other.config_),
-      universe_(other.universe_),
-      index_(other.index_),
-      partitions_(other.partitions_),
-      storage_bytes_(other.storage_bytes_),
-      num_records_(other.num_records_) {
+    : sketch_(other.sketch_), partitions_(other.partitions_) {
   // Fresh identity and fresh (unverified) bits; see header.
   InitCacheState(partitions_.size());
 }
 
 Replica& Replica::operator=(const Replica& other) {
   if (this == &other) return *this;
-  config_ = other.config_;
-  universe_ = other.universe_;
-  index_ = other.index_;
+  sketch_ = other.sketch_;
   partitions_ = other.partitions_;
-  storage_bytes_ = other.storage_bytes_;
-  num_records_ = other.num_records_;
   InitCacheState(partitions_.size());
   return *this;
 }
@@ -105,13 +109,12 @@ Replica& Replica::operator=(const Replica& other) {
 Replica Replica::Build(const Dataset& dataset, const ReplicaConfig& config,
                        const STRange& universe, ThreadPool* pool) {
   Replica replica;
-  replica.config_ = config;
-  replica.universe_ = universe;
-  replica.num_records_ = dataset.size();
+  replica.sketch_.config = config;
+  replica.sketch_.universe = universe;
 
   PartitionedData partitioned =
       PartitionDataset(dataset, config.partitioning, universe);
-  replica.index_ = PartitionIndex(std::move(partitioned.ranges));
+  replica.sketch_.index = PartitionIndex(std::move(partitioned.ranges));
   replica.partitions_.resize(partitioned.members.size());
   replica.InitCacheState(replica.partitions_.size());
 
@@ -121,7 +124,9 @@ Replica Replica::Build(const Dataset& dataset, const ReplicaConfig& config,
     records.reserve(members.size());
     for (std::uint32_t index : members)
       records.push_back(dataset.records()[index]);
-    replica.partitions_[i] = EncodeStoredPartition(records, config);
+    replica.partitions_[i] = EncodeStoredPartition(
+        records, config.encoding,
+        config.policy == EncodingPolicy::kBestCodecPerPartition);
   };
   if (pool != nullptr) {
     pool->ParallelFor(replica.partitions_.size(), encode_one);
@@ -129,10 +134,7 @@ Replica Replica::Build(const Dataset& dataset, const ReplicaConfig& config,
     for (std::size_t i = 0; i < replica.partitions_.size(); ++i)
       encode_one(i);
   }
-
-  replica.storage_bytes_ = 0;
-  for (const StoredPartition& p : replica.partitions_)
-    replica.storage_bytes_ += p.data.size();
+  replica.Resketch();
   return replica;
 }
 
@@ -150,12 +152,12 @@ void Replica::MaybeInjectFault(std::size_t partition) const {
   if (!injector.enabled()) return;
   const StoredPartition& stored = partitions_[partition];
   const FaultDecision decision =
-      injector.OnPartitionRead(config_.Name(), partition, stored.data.size());
+      injector.OnPartitionRead(config().Name(), partition, stored.data.size());
   if (!decision.fire) return;
   switch (decision.kind) {
     case FaultKind::kReadError:
       throw ReadError("Replica: injected read error on partition " +
-                      std::to_string(partition) + " of " + config_.Name());
+                      std::to_string(partition) + " of " + config().Name());
     case FaultKind::kLatency:
       std::this_thread::sleep_for(std::chrono::milliseconds(decision.param));
       return;
@@ -286,7 +288,7 @@ QueryResult Replica::Execute(const STRange& query,
   // still be provably empty for this query.
   std::vector<std::size_t> involved;
   std::size_t zone_pruned = 0;
-  index_.ForEachInvolved(query, [&](std::size_t p) {
+  sketch_.index.ForEachInvolved(query, [&](std::size_t p) {
     if (prune && ZoneExcludes(p, query)) {
       ++zone_pruned;
       return;
@@ -347,7 +349,7 @@ QueryResult Replica::Execute(const STRange& query,
     for (std::size_t k = 0; k < involved.size(); ++k) scan_one(k);
   }
 
-  PartitionFaultError::ThrowIfAny(config_, involved, fault_messages);
+  PartitionFaultError::ThrowIfAny(config(), involved, fault_messages);
 
   // Coverage report: exact served/missed partition sets whenever the
   // scan was not complete (cancellation or exclusion).
@@ -435,11 +437,9 @@ void Replica::RestorePartition(std::size_t partition,
   require(partition < partitions_.size(),
           "Replica::RestorePartition: bad partition");
   StoredPartition& stored = partitions_[partition];
-  storage_bytes_ -= stored.data.size();
-  num_records_ -= stored.num_records;
-  stored = EncodeStoredPartition(records, config_);
-  storage_bytes_ += stored.data.size();
-  num_records_ += stored.num_records;
+  stored = EncodeStoredPartition(records, PartitionScheme(stored),
+                                 /*best_codec=*/false);
+  Resketch();
   // Decodes cached under the pre-repair identity must never satisfy a
   // post-repair query: drop them and take a fresh process-unique id.
   const std::uint64_t old_id = cache_id_;
@@ -466,17 +466,12 @@ Replica Replica::FromParts(const ReplicaConfig& config,
   require(ranges.size() == config.partitioning.TotalPartitions(),
           "Replica::FromParts: partition count does not match config");
   Replica replica;
-  replica.config_ = config;
-  replica.universe_ = universe;
-  replica.index_ = PartitionIndex(std::move(ranges));
+  replica.sketch_.config = config;
+  replica.sketch_.universe = universe;
+  replica.sketch_.index = PartitionIndex(std::move(ranges));
   replica.partitions_ = std::move(partitions);
   replica.InitCacheState(replica.partitions_.size());
-  replica.storage_bytes_ = 0;
-  replica.num_records_ = 0;
-  for (const StoredPartition& p : replica.partitions_) {
-    replica.storage_bytes_ += p.data.size();
-    replica.num_records_ += p.num_records;
-  }
+  replica.Resketch();
   return replica;
 }
 

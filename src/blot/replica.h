@@ -82,6 +82,28 @@ struct ReplicaConfig {
   friend bool operator==(const ReplicaConfig&, const ReplicaConfig&) = default;
 };
 
+// What the cost model (Section IV) needs to price a replica, without its
+// bytes: the partition ranges, per-partition record counts and the
+// storage size. Every Replica carries its own exact sketch. Hypothetical
+// sketches, scaled up from a sample ("we only need a small portion of
+// the data to build the cost model", Section V-A), come from
+// SketchFromSample (simenv/replica_sketch.h).
+struct ReplicaSketch {
+  ReplicaConfig config;
+  STRange universe;
+  PartitionIndex index;                // partition ranges
+  std::vector<std::uint64_t> counts;   // records per partition
+  std::uint64_t total_records = 0;
+  std::uint64_t storage_bytes = 0;
+
+  double MeanRecordsPerPartition() const {
+    return index.NumPartitions() == 0
+               ? 0.0
+               : static_cast<double>(total_records) /
+                     static_cast<double>(index.NumPartitions());
+  }
+};
+
 // One storage unit: an encoded partition plus integrity metadata. `codec`
 // is the replica's codec under the uniform policy, or this partition's
 // chosen codec under kBestCodecPerPartition. `zone`, when `has_zone`, is
@@ -179,15 +201,18 @@ class Replica {
   Replica(Replica&&) noexcept = default;
   Replica& operator=(Replica&&) noexcept = default;
 
-  const ReplicaConfig& config() const { return config_; }
-  const PartitionIndex& index() const { return index_; }
-  const STRange& universe() const { return universe_; }
+  // The routing sketch, exact after Build, FromParts and
+  // RestorePartition. The accessors below read it.
+  const ReplicaSketch& sketch() const { return sketch_; }
+  const ReplicaConfig& config() const { return sketch_.config; }
+  const PartitionIndex& index() const { return sketch_.index; }
+  const STRange& universe() const { return sketch_.universe; }
 
   std::size_t NumPartitions() const { return partitions_.size(); }
-  std::uint64_t NumRecords() const { return num_records_; }
+  std::uint64_t NumRecords() const { return sketch_.total_records; }
 
   // Total encoded bytes across partitions: Storage(r) of Definition 5.
-  std::uint64_t StorageBytes() const { return storage_bytes_; }
+  std::uint64_t StorageBytes() const { return sketch_.storage_bytes; }
 
   // Answers a range query: scans involved partitions and filters records
   // by `query` (Section II-D). Partitions are scanned in parallel when
@@ -261,10 +286,10 @@ class Replica {
   std::uint64_t cache_id() const { return cache_id_; }
 
   // Partition-granular self-healing: replaces partition `partition`'s
-  // stored bytes by re-encoding `records` under this replica's config
-  // (same per-partition codec policy as Build). The replica takes a fresh
-  // cache identity and the old one is invalidated, so a decode cached
-  // before the repair can never satisfy a query after it.
+  // stored bytes by re-encoding `records` under the partition's own
+  // codec (a per-partition plan survives repair). The replica takes a
+  // fresh cache identity and the old one is invalidated, so a decode
+  // cached before the repair can never satisfy a query after it.
   void RestorePartition(std::size_t partition,
                         const std::vector<Record>& records);
 
@@ -286,8 +311,11 @@ class Replica {
   // The per-partition encoding scheme (layout is replica-wide; the codec
   // may vary under kBestCodecPerPartition).
   EncodingScheme PartitionScheme(const StoredPartition& stored) const {
-    return {config_.encoding.layout, stored.codec};
+    return {sketch_.config.encoding.layout, stored.codec};
   }
+  // Recomputes the sketch's counts, record total and storage bytes from
+  // the stored partitions.
+  void Resketch();
   // Checksum verification with a sticky verified bit: the FNV-1a pass
   // over the encoded bytes runs on the first read of each partition and
   // is skipped afterwards. MutablePartition clears the bit.
@@ -299,12 +327,8 @@ class Replica {
   void MaybeInjectFault(std::size_t partition) const;
   void InitCacheState(std::size_t num_partitions);
 
-  ReplicaConfig config_;
-  STRange universe_;
-  PartitionIndex index_;
+  ReplicaSketch sketch_;
   std::vector<StoredPartition> partitions_;
-  std::uint64_t storage_bytes_ = 0;
-  std::uint64_t num_records_ = 0;
   std::uint64_t cache_id_ = 0;
   // Shared (not unique) so Replica stays copyable; copies sharing
   // verified bits is benign — the bits only ever skip a re-hash of bytes

@@ -25,29 +25,6 @@ constexpr std::uint8_t kBlockedFormat = 2;
 const char* kManifestName = "manifest.blot";
 const char* kSegmentsName = "segments.dat";
 
-void WriteFileAtomically(const std::filesystem::path& path,
-                         const Bytes& contents) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "SegmentStore: cannot open " + tmp.string());
-    out.write(reinterpret_cast<const char*>(contents.data()),
-              static_cast<std::streamsize>(contents.size()));
-    require(out.good(), "SegmentStore: short write to " + tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
-}
-
-Bytes ReadFile(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  // An unreadable file is an I/O fault (survivable via replica
-  // failover), not an API-contract violation.
-  if (!in.good())
-    throw ReadError("SegmentStore: cannot open " + path.string());
-  return Bytes((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-}
-
 void PutRange(ByteWriter& w, const STRange& r) {
   w.PutF64(r.x_min());
   w.PutF64(r.x_max());
@@ -70,6 +47,26 @@ STRange GetRange(ByteReader& r) {
 }
 
 }  // namespace
+
+void WriteFileAtomically(const std::filesystem::path& path,
+                         BytesView contents) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  require(out.good(), "WriteFileAtomically: cannot open " + tmp.string());
+  out.write(reinterpret_cast<const char*>(contents.data()),
+            static_cast<std::streamsize>(contents.size()));
+  // A full device fails the flush, which only close() reports.
+  out.close();
+  require(!out.fail(), "WriteFileAtomically: short write to " + tmp.string());
+  std::filesystem::rename(tmp, path);
+}
+
+Bytes ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) throw ReadError("ReadFile: cannot open " + path.string());
+  return Bytes((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+}
 
 void SegmentStore::Save(const Replica& replica,
                         const std::filesystem::path& directory) {

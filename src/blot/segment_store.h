@@ -22,8 +22,21 @@
 #include <filesystem>
 
 #include "blot/replica.h"
+#include "util/bytes.h"
 
 namespace blot {
+
+// Writes `contents` to `path` + ".tmp" and renames it over `path`, so a
+// crash leaves the old file or the new one, never a torn mix. Throws
+// InvalidArgument when the file cannot be opened or any byte of it was
+// not written, including a failure that only the final flush reports
+// (a full device).
+void WriteFileAtomically(const std::filesystem::path& path,
+                         BytesView contents);
+
+// The whole file at `path`. Throws ReadError when it cannot be opened:
+// an unreadable file is an I/O fault, not an API-contract violation.
+Bytes ReadFile(const std::filesystem::path& path);
 
 class SegmentStore {
  public:

@@ -1,5 +1,6 @@
 #include "core/candidates.h"
 
+#include "simenv/replica_sketch.h"
 #include "util/error.h"
 
 namespace blot {
@@ -55,7 +56,7 @@ std::vector<ReplicaSketch> BuildCandidateSketches(
     const std::string key = config.partitioning.Name();
     auto cached = by_partitioning.find(key);
     if (cached == by_partitioning.end()) {
-      ReplicaSketch base = ReplicaSketch::FromSample(
+      ReplicaSketch base = SketchFromSample(
           sample, config, universe, total_records, ratio_it->second);
       cached = by_partitioning.emplace(key, std::move(base)).first;
     }

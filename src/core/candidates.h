@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/selection.h"
-#include "simenv/replica_sketch.h"
 #include "util/rng.h"
 
 namespace blot {

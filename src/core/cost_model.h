@@ -25,9 +25,9 @@
 #include <map>
 #include <string>
 
+#include "blot/replica.h"
 #include "core/workload.h"
 #include "simenv/environment.h"
-#include "simenv/replica_sketch.h"
 
 namespace blot {
 

@@ -349,23 +349,4 @@ void FaultInjector::CorruptFile(const std::filesystem::path& path,
             static_cast<std::streamsize>(data.size()));
 }
 
-void RunFaultCampaign(
-    FaultPlan plan, std::size_t rounds,
-    const std::function<void(std::size_t round, std::uint64_t round_seed)>&
-        body) {
-  FaultInjector& injector = FaultInjector::Global();
-  const std::uint64_t base_seed = plan.seed;
-  try {
-    for (std::size_t round = 0; round < rounds; ++round) {
-      plan.seed = Mix64(base_seed + round);
-      injector.Arm(plan);
-      body(round, plan.seed);
-    }
-  } catch (...) {
-    injector.Disarm();
-    throw;
-  }
-  injector.Disarm();
-}
-
 }  // namespace blot

@@ -19,18 +19,16 @@
 // (FaultPlan::max_fires_per_target, default 1), modeling a bad storage
 // unit that is replaced by repair rather than an endlessly haunted one.
 //
-// Entry points: tests and benches Arm() the global injector directly (or
-// run RunFaultCampaign over derived seeds); blotctl exposes the same
-// plans through `--inject-faults=<spec>` (grammar in ParseFaultSpec and
-// docs/robustness.md). Disarmed, the hot-path check is one relaxed
-// atomic load.
+// Entry points: tests and benches Arm() the global injector directly;
+// blotctl exposes the same plans through `--inject-faults=<spec>`
+// (grammar in ParseFaultSpec and docs/robustness.md). Disarmed, the
+// hot-path check is one relaxed atomic load.
 #ifndef BLOT_CORE_FAULT_INJECTION_H_
 #define BLOT_CORE_FAULT_INJECTION_H_
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -218,16 +216,6 @@ class FaultInjector {
   std::unordered_map<TargetKey, std::uint64_t, TargetKeyHash> reads_;
   Stats stats_;
 };
-
-// Campaign mode: runs `body(round, round_seed)` for `rounds` rounds, the
-// global injector armed each round with `plan` reseeded by a SplitMix64
-// derivation of (plan.seed, round). Disarms when done (also on
-// exception). Every failing round is reproducible by arming the plan
-// with the round_seed passed to `body`.
-void RunFaultCampaign(
-    FaultPlan plan, std::size_t rounds,
-    const std::function<void(std::size_t round, std::uint64_t round_seed)>&
-        body);
 
 }  // namespace blot
 

@@ -30,9 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "blot/replica.h"
 #include "core/cost_model.h"
 #include "core/workload.h"
-#include "simenv/replica_sketch.h"
 
 namespace blot {
 

@@ -1,11 +1,11 @@
 #include "core/store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -37,6 +37,9 @@ obs::Histogram& CostErrorHistogram() {
            100000, 1000000, 10000000, 100000000});
   return histogram;
 }
+
+// Process-unique query ids (RoutedResult::query_id).
+std::atomic<std::uint64_t> next_query_id{1};
 
 // Adds `n` to the registry counter `name` (callers check enabled()).
 void Count(std::string_view name, std::uint64_t n = 1) {
@@ -148,7 +151,6 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   dataset_ = std::move(other.dataset_);
   universe_ = other.universe_;
   replicas_ = std::move(other.replicas_);
-  sketches_ = std::move(other.sketches_);
   policy_ = other.policy_;
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
@@ -217,7 +219,6 @@ std::size_t BlotStore::AddPartialReplica(const ReplicaConfig& config,
 
 std::size_t BlotStore::AdoptReplica(Replica replica) {
   replicas_.push_back(std::move(replica));
-  sketches_.push_back(ReplicaSketch::FromReplica(replicas_.back()));
   health_->AddReplica(replicas_.back().NumPartitions());
   latency_->AddReplica();
   return replicas_.size() - 1;
@@ -252,7 +253,7 @@ BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
   // steer the ordering but must not distort the reported estimate.
   std::vector<std::pair<double, RoutingDecision>> scored;
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < sketches_.size(); ++i) {
+  for (std::size_t i = 0; i < replicas_.size(); ++i) {
     // Full replicas can serve anything; partial replicas only queries
     // entirely inside their coverage.
     if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
@@ -263,12 +264,12 @@ BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
     const double penalty = latency_->BrownoutPenalty(i);
     std::size_t np = 0;  // the estimate's own walk counts Np
     const double cost = model.QueryCostMs(
-        sketches_[i], query, &np,
+        replicas_[i].sketch(), query, &np,
         bounded ? best : std::numeric_limits<double>::infinity(), penalty);
     const RoutingDecision decision{i, cost, np};
     std::vector<std::size_t> lost;
     if (!health_->AllOk(i)) {
-      for (const std::size_t p : sketches_[i].index.InvolvedPartitions(query))
+      for (const std::size_t p : replicas_[i].index().InvolvedPartitions(query))
         if (health_->Get(i, p) == PartitionHealth::kQuarantined)
           lost.push_back(p);
     }
@@ -306,7 +307,7 @@ QueryFailedError BlotStore::UnservableError(const STRange& query) const {
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
       continue;
-    for (std::size_t p : sketches_[i].index.InvolvedPartitions(query)) {
+    for (std::size_t p : replicas_[i].index().InvolvedPartitions(query)) {
       if (health_->Get(i, p) != PartitionHealth::kQuarantined) continue;
       lost.push_back({i, p});
       what += " [" + replicas_[i].config().Name() + " partition " +
@@ -380,10 +381,18 @@ void BlotStore::RunAttempt(const STRange& query,
 
 BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
                                               const CostModel& model,
-                                              ThreadPool* pool,
-                                              QueryContext& ctx) {
+                                              const ExecOptions& exec,
+                                              bool profiling) {
   using Clock = std::chrono::steady_clock;
   obs::EventLog& log = obs::EventLog::Global();
+  RoutedResult routed;
+  routed.query_id = next_query_id.fetch_add(1, std::memory_order_relaxed);
+  // The query's deadline, polled at attempt, partition and block
+  // boundaries. Inert without one, so undeadlined queries pay nothing;
+  // hedged attempts each run under a Child() of it.
+  const CancelToken cancel = exec.deadline_ms > 0.0
+                                 ? CancelToken::WithDeadline(exec.deadline_ms)
+                                 : CancelToken();
 
   // Route by branch and bound, under the same lock as the per-query
   // policy snapshot (retunes never tear a query) and the replica names
@@ -402,7 +411,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   const std::size_t max_attempts =
       std::max<std::size_t>(std::size_t{1}, policy.max_attempts);
   const double route_ms = double(obs::MonotonicNanos() - route_start) * 1e-6;
-  if (ctx.profiling) ctx.profile.AddStage(obs::Stage::kRoute, route_ms);
+  if (profiling) routed.profile.AddStage(obs::Stage::kRoute, route_ms);
   require(ranking.covering > 0,
           "BlotStore::RouteQuery: no replica can serve the query (add a "
           "full replica)");
@@ -439,9 +448,9 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   std::vector<std::size_t> running;  // launched, not yet collected
   // A hedge needs a second candidate and a budget to race it with.
   const bool hedging =
-      ctx.hedge_ms > 0.0 && ranking.healthy >= 2 && max_attempts >= 2;
+      exec.hedge_ms > 0.0 && ranking.healthy >= 2 && max_attempts >= 2;
   ScanOptions scan;
-  scan.pool = pool;
+  scan.pool = exec.pool;
 
   // Runs inline when no hedge can fire. Otherwise the attempt is a task
   // on the store's executor under a child token, which observes the
@@ -454,17 +463,17 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     slot.decision = decision;
     running.push_back(index);
     const bool inline_run = !hedging || options.exclude_partitions != nullptr;
-    slot.token = inline_run ? ctx.cancel : ctx.cancel.Child();
+    slot.token = inline_run ? cancel : cancel.Child();
     if (!inline_run) {
       const std::chrono::duration<double, std::milli> hedge_after(std::max(
-          ctx.hedge_ms, 2.0 * latency_->ExpectedMs(
-                                  decision.replica_index,
-                                  decision.predicted_partitions)));
+          exec.hedge_ms, 2.0 * latency_->ExpectedMs(
+                                   decision.replica_index,
+                                   decision.predicted_partitions)));
       slot.hedge_at = Clock::now() +
                       std::chrono::duration_cast<Clock::duration>(hedge_after);
     }
     auto run = [this, board, query, options, index, token = slot.token,
-                decision, profiling = ctx.profiling]() mutable {
+                decision, profiling]() mutable {
       Attempt out;
       options.cancel = token.valid() ? &token : nullptr;
       options.profile = profiling ? &out.profile : nullptr;
@@ -493,7 +502,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   // earlier attempt's fault may have hit a copy this candidate needs).
   std::size_t cursor = 0;
   auto next_candidate = [&]() -> const RoutingDecision* {
-    while (launched < budget && !ctx.cancel.ShouldStop()) {
+    while (launched < budget && !cancel.ShouldStop()) {
       if (cursor == ranked.size()) {
         if (ranked_in_full) return nullptr;
         ranked_in_full = true;
@@ -518,7 +527,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
       if (!health_->AllOk(idx)) {
         std::shared_lock lock(sync_->state_mutex);
         if (health_->AnyQuarantined(
-                idx, sketches_[idx].index.InvolvedPartitions(query)))
+                idx, replicas_[idx].index().InvolvedPartitions(query)))
           continue;
       }
       return &decision;
@@ -539,18 +548,18 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     if (running.empty()) {
       if (const RoutingDecision* next = next_candidate()) {
         launch(*next, scan);
-      } else if (exhausted || ctx.cancel.ShouldStop()) {
+      } else if (exhausted || cancel.ShouldStop()) {
         break;
       } else {
         exhausted = true;
-        if (ctx.profiling) Count("failover.exhausted_total");
+        if (profiling) Count("failover.exhausted_total");
         if (log.enabled()) {
           log.Emit(obs::EventSeverity::kError, "failover.exhausted",
                    "no healthy replica could serve the query",
                    {obs::Field("attempts", launched),
                     obs::Field("covering_replicas", ranking.covering)});
         }
-        if (!ctx.allow_partial) break;
+        if (!exec.allow_partial) break;
         // The degraded scan, around the quarantined partitions of the
         // replica that now loses the fewest (Ranking::fallback).
         Ranking now;
@@ -624,7 +633,7 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   // within one block and is reaped when it finishes.
   for (const std::size_t s : running)
     board->slots[s].token.Cancel(CancelReason::kHedgeLost);
-  if (ctx.profiling) Count("failover.attempts_total", launched);
+  if (profiling) Count("failover.attempts_total", launched);
 
   // Finalize: the served answer, or exactly one of the two errors.
   Attempt nothing;  // the deadline answer when no attempt got anywhere
@@ -636,12 +645,12 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     served = &board->slots[s].attempt;
     decision = board->slots[s].decision;
     degraded = s != 0 || exhausted;
-  } else if (ctx.cancel.DeadlineExpired() && ranking.healthy > 0) {
+  } else if (cancel.DeadlineExpired() && ranking.healthy > 0) {
     // A scan under the expired token reports every involved partition of
     // the best candidate missed.
     decision = first;
     ScanOptions expired = scan;
-    expired.cancel = &ctx.cancel;
+    expired.cancel = &cancel;
     RunAttempt(query, decision, expired, nothing);
     served = &nothing;
     degraded = launched > 0;
@@ -650,20 +659,19 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     throw UnservableError(query);
   }
   if (!winner) {
-    if (ctx.profiling) Count("query.deadline_exceeded_total");
+    if (profiling) Count("query.deadline_exceeded_total");
     const std::size_t scanned = served->result.served_partitions.size();
     const std::size_t missed = served->result.missed_partitions.size();
-    if (!ctx.allow_partial) {
+    if (!exec.allow_partial) {
       throw DeadlineExceededError(
-          "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
+          "BlotStore: deadline of " + std::to_string(exec.deadline_ms) +
               "ms exceeded after " + std::to_string(launched) +
               " attempt(s); scanned " + std::to_string(scanned) + " of " +
               std::to_string(scanned + missed) + " involved partitions",
-          ctx.deadline_ms, launched, scanned, missed);
+          exec.deadline_ms, launched, scanned, missed);
     }
   }
 
-  RoutedResult routed;
   routed.result = std::move(served->result);
   routed.replica_index = decision.replica_index;
   routed.estimated_cost_ms = decision.estimated_cost_ms;
@@ -687,13 +695,13 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
     const double ms = slot.collected ? slot.attempt.ms : 0.0;
     const std::string fault =
         serving ? "" : faulted ? slot.attempt.error : "hedge lost (cancelled)";
-    ctx.attempts.push_back({idx, names[idx], ms, serving, fault});
-    if (ctx.profiling && slot.collected) {
-      ctx.profile.MergeScanFrom(slot.attempt.profile);
-      ctx.profile.AddStage(serving   ? obs::Stage::kExecute
-                           : faulted ? obs::Stage::kFailover
-                                     : obs::Stage::kHedge,
-                           ms);
+    routed.attempt_log.push_back({idx, names[idx], ms, serving, fault});
+    if (profiling && slot.collected) {
+      routed.profile.MergeScanFrom(slot.attempt.profile);
+      routed.profile.AddStage(serving   ? obs::Stage::kExecute
+                              : faulted ? obs::Stage::kFailover
+                                        : obs::Stage::kHedge,
+                              ms);
     }
   }
   if (log.enabled() && exhausted && routed.partial) {
@@ -707,10 +715,11 @@ BlotStore::RoutedResult BlotStore::Coordinate(const STRange& query,
   // Synchronous repair runs on this thread; background repair
   // contributes only the submit.
   const std::uint64_t repair_start = obs::MonotonicNanos();
-  MaybeScheduleRepairs(pool, policy);
-  if (ctx.profiling)
-    ctx.profile.AddStage(obs::Stage::kRepair,
-                         double(obs::MonotonicNanos() - repair_start) * 1e-6);
+  MaybeScheduleRepairs(exec.pool, policy);
+  if (profiling)
+    routed.profile.AddStage(
+        obs::Stage::kRepair,
+        double(obs::MonotonicNanos() - repair_start) * 1e-6);
   return routed;
 }
 
@@ -728,23 +737,14 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   require(!replicas_.empty(), "BlotStore::RouteQuery: no replicas");
   require(options.deadline_ms >= 0.0 && options.hedge_ms >= 0.0,
           "BlotStore::Execute: negative deadline/hedge threshold");
-  // All per-query state lives in the context; this function is
-  // re-entrant under N concurrent callers (the serving layer's request
-  // workers), who share only the internally synchronized structures.
-  QueryContext ctx = QueryContext::ForQuery();
-  ctx.deadline_ms = options.deadline_ms;
-  ctx.allow_partial = options.allow_partial;
-  ctx.hedge_ms = options.hedge_ms;
-  if (options.deadline_ms > 0.0)
-    ctx.cancel = CancelToken::WithDeadline(options.deadline_ms);
-  const std::uint64_t start_ns = ctx.profiling ? obs::MonotonicNanos() : 0;
-  RoutedResult routed = Coordinate(query, model, options.pool, ctx);
-  if (ctx.profiling)
-    ctx.profile.total_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-  routed.query_id = ctx.query_id();
-  routed.attempt_log = std::move(ctx.attempts);
-  routed.profile = std::move(ctx.profile);
-  if (ctx.profiling) RecordQuery(routed);
+  // Latched once, so the whole query checks one bool.
+  const bool profiling = obs::MetricsRegistry::global().enabled();
+  const std::uint64_t start_ns = profiling ? obs::MonotonicNanos() : 0;
+  RoutedResult routed = Coordinate(query, model, options, profiling);
+  if (profiling) {
+    routed.profile.total_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
+    RecordQuery(routed);
+  }
   return routed;
 }
 
@@ -959,10 +959,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
       QuarantineFault(*health_, r, replicas_[r], e);
       continue;
     }
-    // The canonical check above pins the ranges and the record count;
-    // only the partition's encoded size can change.
     rep.RestorePartition(partition, expected);
-    sketches_[target].storage_bytes = rep.StorageBytes();
     health_->MarkOk(target, partition);
     const double repair_ms_elapsed =
         double(obs::MonotonicNanos() - start_ns) * 1e-6;
@@ -1088,18 +1085,11 @@ void BlotStore::Save(const std::filesystem::path& directory) const {
   std::filesystem::create_directories(directory);
   std::ostringstream dataset_buf;
   dataset_.WriteBinary(dataset_buf);
-  const std::string dataset_bytes = dataset_buf.str();
-  const std::uint64_t dataset_checksum = Fnv1a64(BytesView(
-      reinterpret_cast<const std::uint8_t*>(dataset_bytes.data()),
-      dataset_bytes.size()));
-  {
-    std::ofstream out(directory / kStoreDataset,
-                      std::ios::binary | std::ios::trunc);
-    require(out.good(), "BlotStore::Save: cannot write dataset");
-    out.write(dataset_bytes.data(),
-              static_cast<std::streamsize>(dataset_bytes.size()));
-    require(out.good(), "BlotStore::Save: short write to dataset");
-  }
+  const std::string dataset_str = dataset_buf.str();
+  const BytesView dataset_bytes(
+      reinterpret_cast<const std::uint8_t*>(dataset_str.data()),
+      dataset_str.size());
+  WriteFileAtomically(directory / kStoreDataset, dataset_bytes);
   for (std::size_t i = 0; i < replicas_.size(); ++i)
     SegmentStore::Save(replicas_[i], directory / ReplicaDirName(i));
 
@@ -1112,30 +1102,17 @@ void BlotStore::Save(const std::filesystem::path& directory) const {
   manifest.PutF64(universe_.t_min());
   manifest.PutF64(universe_.t_max());
   manifest.PutVarint(replicas_.size());
-  manifest.PutU64(dataset_checksum);
+  manifest.PutU64(Fnv1a64(dataset_bytes));
   // Whole-manifest checksum excluding this trailing field, mirroring the
   // SegmentStore manifest format.
   manifest.PutU64(Fnv1a64(manifest.buffer()));
-  const std::filesystem::path tmp =
-      directory / (std::string(kStoreManifest) + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "BlotStore::Save: cannot write manifest");
-    out.write(reinterpret_cast<const char*>(manifest.buffer().data()),
-              static_cast<std::streamsize>(manifest.size()));
-  }
-  std::filesystem::rename(tmp, directory / kStoreManifest);
+  WriteFileAtomically(directory / kStoreManifest, manifest.buffer());
 }
 
 BlotStore BlotStore::Load(const std::filesystem::path& directory) {
   require(std::filesystem::exists(directory / kStoreManifest),
           "BlotStore::Load: no store manifest in " + directory.string());
-  std::ifstream manifest_in(directory / kStoreManifest, std::ios::binary);
-  if (!manifest_in.good())
-    throw ReadError("BlotStore::Load: cannot open store manifest in " +
-                    directory.string());
-  const Bytes manifest_bytes((std::istreambuf_iterator<char>(manifest_in)),
-                             std::istreambuf_iterator<char>());
+  const Bytes manifest_bytes = ReadFile(directory / kStoreManifest);
   validate(manifest_bytes.size() > 8,
            "BlotStore::Load: store manifest too small");
   const BytesView body(manifest_bytes.data(), manifest_bytes.size() - 8);
@@ -1158,10 +1135,7 @@ BlotStore BlotStore::Load(const std::filesystem::path& directory) {
   const std::uint64_t dataset_checksum = manifest.GetU64();
   validate(manifest.AtEnd(), "BlotStore::Load: trailing manifest bytes");
 
-  std::ifstream dataset_in(directory / kStoreDataset, std::ios::binary);
-  require(dataset_in.good(), "BlotStore::Load: missing dataset file");
-  const Bytes dataset_bytes((std::istreambuf_iterator<char>(dataset_in)),
-                            std::istreambuf_iterator<char>());
+  const Bytes dataset_bytes = ReadFile(directory / kStoreDataset);
   validate(Fnv1a64(dataset_bytes) == dataset_checksum,
            "BlotStore::Load: dataset checksum mismatch");
   std::istringstream dataset_stream(std::string(
@@ -1211,7 +1185,6 @@ std::uint64_t BlotStore::RecoverReplicaFromLocked(std::size_t i,
   ensure(replicas_[i].cache_id() != old_cache_id,
          "BlotStore::RecoverReplicaFrom: rebuilt replica kept its old "
          "cache identity");
-  sketches_[i] = ReplicaSketch::FromReplica(replicas_[i]);
   health_->ResetReplica(i, replicas_[i].NumPartitions());
   if (obs::EventLog::Global().enabled()) {
     obs::EventLog::Global().Info(

@@ -30,7 +30,6 @@
 #include "core/cost_model.h"
 #include "core/health.h"
 #include "core/latency_map.h"
-#include "core/query_context.h"
 #include "obs/profile.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -86,6 +85,18 @@ class DeadlineExceededError : public Error {
   std::size_t attempts_ = 0;
   std::size_t partitions_served_ = 0;
   std::size_t partitions_missed_ = 0;
+};
+
+// One execution attempt of the store's attempt loop: which replica was
+// tried, what happened, and how long it took. RoutedResult carries the
+// full log so a caller (or the serving layer's slow-query diagnostics)
+// can reconstruct the query's path without re-reading the event log.
+struct QueryAttempt {
+  std::size_t replica_index = 0;
+  std::string replica;      // config name of the attempted replica
+  double ms = 0.0;          // wall time of this attempt
+  bool success = false;
+  std::string fault;        // error text when the attempt failed
 };
 
 // What the store does about quarantined partitions after a query.
@@ -172,7 +183,7 @@ class BlotStore {
     // a winning hedge backup, or a partial scan around lost partitions).
     bool degraded = false;
     std::string served_by;  // config name of the serving replica
-    // Process-unique id of this execution (QueryContext::query_id).
+    // Process-unique id of this execution.
     std::uint64_t query_id = 0;
     // One entry per attempt, in launch order; `attempts` is its size and
     // the serving attempt is the one marked `success`.
@@ -377,10 +388,13 @@ class BlotStore {
                   const ScanOptions& scan, Attempt& out);
   // The coordinator: routes, walks the plan under the policy (attempts,
   // hedge, deadline, allow_partial) inline or — when a hedge can fire —
-  // on the attempt executor, finalizes the RoutedResult and schedules
-  // repair. Holds no lock itself.
+  // on the attempt executor, finalizes the RoutedResult (attempt log and,
+  // when `profiling`, stage profile) and schedules repair. Holds no lock
+  // itself. Every piece of per-query state lives in its frame or in the
+  // result it returns, so concurrent callers share only the internally
+  // synchronized structures.
   RoutedResult Coordinate(const STRange& query, const CostModel& model,
-                          ThreadPool* pool, QueryContext& ctx);
+                          const ExecOptions& exec, bool profiling);
   ThreadPool& AttemptExecutor();
   // Per-policy repair scheduling once a query's attempts are done.
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
@@ -391,7 +405,7 @@ class BlotStore {
   void RecordQuery(const RoutedResult& routed);
 
   // Implementations that assume state_mutex is held unique. AdoptReplica
-  // registers a built replica with the sketches, health and latency maps.
+  // registers a built replica with the health and latency maps.
   std::size_t AdoptReplica(Replica replica);
   std::uint64_t RecoverReplicaFromLocked(std::size_t i, std::size_t source,
                                          ThreadPool* pool);
@@ -404,7 +418,6 @@ class BlotStore {
   Dataset dataset_;
   STRange universe_;
   std::vector<Replica> replicas_;
-  std::vector<ReplicaSketch> sketches_;
   FailoverPolicy policy_;  // guarded by sync_->state_mutex
   std::unique_ptr<HealthMap> health_ = std::make_unique<HealthMap>();
   std::unique_ptr<LatencyMap> latency_ = std::make_unique<LatencyMap>();

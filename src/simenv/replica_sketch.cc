@@ -6,27 +6,14 @@
 
 namespace blot {
 
-ReplicaSketch ReplicaSketch::FromReplica(const Replica& replica) {
-  ReplicaSketch sketch;
-  sketch.config = replica.config();
-  sketch.universe = replica.universe();
-  sketch.index = replica.index();
-  sketch.counts.reserve(replica.NumPartitions());
-  for (std::size_t p = 0; p < replica.NumPartitions(); ++p)
-    sketch.counts.push_back(replica.partition(p).num_records);
-  sketch.total_records = replica.NumRecords();
-  sketch.storage_bytes = replica.StorageBytes();
-  return sketch;
-}
-
-ReplicaSketch ReplicaSketch::FromSample(const Dataset& sample,
-                                        const ReplicaConfig& config,
-                                        const STRange& universe,
-                                        std::uint64_t total_records,
-                                        double compression_ratio) {
-  require(!sample.empty(), "ReplicaSketch::FromSample: empty sample");
+ReplicaSketch SketchFromSample(const Dataset& sample,
+                               const ReplicaConfig& config,
+                               const STRange& universe,
+                               std::uint64_t total_records,
+                               double compression_ratio) {
+  require(!sample.empty(), "SketchFromSample: empty sample");
   require(compression_ratio > 0,
-          "ReplicaSketch::FromSample: non-positive compression ratio");
+          "SketchFromSample: non-positive compression ratio");
   PartitionedData partitioned =
       PartitionDataset(sample, config.partitioning, universe);
   ReplicaSketch sketch;

@@ -1,54 +1,35 @@
-// A replica sketch: the metadata the cost model and simulator need about a
-// candidate replica, without its physical bytes.
+// Hypothetical replica sketches: a candidate replica's cost-model inputs
+// (ReplicaSketch, blot/replica.h) without materializing it.
 //
 // The paper stresses that "though the full dataset in our working system
 // is more than 100 GB, we only need a small portion of the data to build
 // the cost model and select diverse replicas for the whole dataset"
-// (Section V-A). A sketch captures exactly that portion: the partition
-// ranges and (scaled) per-partition record counts produced by partitioning
-// a sample, plus the storage estimate from the measured compression
-// ratio. Sketches are how the evaluation scales to the paper's 370 GB and
-// 3,700 GB configurations (Figure 6) without materializing the data.
+// (Section V-A). A sampled sketch captures exactly that portion: the
+// partition ranges and (scaled) per-partition record counts produced by
+// partitioning a sample, plus the storage estimate from the measured
+// compression ratio. Sketches are how the evaluation scales to the
+// paper's 370 GB and 3,700 GB configurations (Figure 6) without
+// materializing the data. A materialized replica carries its own exact
+// sketch (Replica::sketch).
 #ifndef BLOT_SIMENV_REPLICA_SKETCH_H_
 #define BLOT_SIMENV_REPLICA_SKETCH_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "blot/partition_index.h"
 #include "blot/replica.h"
 
 namespace blot {
 
-struct ReplicaSketch {
-  ReplicaConfig config;
-  STRange universe;
-  PartitionIndex index;                // partition ranges
-  std::vector<std::uint64_t> counts;   // records per partition
-  std::uint64_t total_records = 0;
-  std::uint64_t storage_bytes = 0;
-
-  // Exact sketch of a materialized replica.
-  static ReplicaSketch FromReplica(const Replica& replica);
-
-  // Sketch of a hypothetical replica of `total_records` records whose
-  // distribution matches `sample`: partition boundaries come from
-  // partitioning the sample, per-partition counts are scaled
-  // proportionally, and storage is total_records * row bytes *
-  // `compression_ratio`.
-  static ReplicaSketch FromSample(const Dataset& sample,
-                                  const ReplicaConfig& config,
-                                  const STRange& universe,
-                                  std::uint64_t total_records,
-                                  double compression_ratio);
-
-  double MeanRecordsPerPartition() const {
-    return index.NumPartitions() == 0
-               ? 0.0
-               : static_cast<double>(total_records) /
-                     static_cast<double>(index.NumPartitions());
-  }
-};
+// Sketch of a hypothetical replica of `total_records` records whose
+// distribution matches `sample`: partition boundaries come from
+// partitioning the sample, per-partition counts are scaled
+// proportionally, and storage is total_records * row bytes *
+// `compression_ratio`.
+ReplicaSketch SketchFromSample(const Dataset& sample,
+                               const ReplicaConfig& config,
+                               const STRange& universe,
+                               std::uint64_t total_records,
+                               double compression_ratio);
 
 }  // namespace blot
 

@@ -16,8 +16,8 @@
 
 #include <cstdint>
 
+#include "blot/replica.h"
 #include "simenv/environment.h"
-#include "simenv/replica_sketch.h"
 #include "util/rng.h"
 
 namespace blot {

@@ -481,8 +481,7 @@ struct Iteration {
     ++report.checks_run;
     try {
       for (std::size_t r = 0; r < configs.size(); ++r) {
-        const ReplicaSketch sketch =
-            ReplicaSketch::FromReplica(store.replica(r));
+        const ReplicaSketch& sketch = store.replica(r).sketch();
         const double cost = model.QueryCostMs(sketch, query);
         if (!(std::isfinite(cost) && cost >= 0.0)) {
           Fail("cost-nonnegative[" + configs[r].Name() + "]", query,

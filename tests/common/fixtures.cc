@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "blot/replica.h"
 #include "core/partition_cache.h"
 #include "core/workload.h"
 #include "gen/taxi_generator.h"
-#include "simenv/replica_sketch.h"
 #include "testing/oracle.h"
 #include "util/rng.h"
 
@@ -67,7 +67,7 @@ std::vector<std::size_t> FullRanking(const BlotStore& store,
     if (!store.IsFullReplica(r) &&
         !store.replica(r).universe().Contains(query))
       continue;
-    const ReplicaSketch sketch = ReplicaSketch::FromReplica(store.replica(r));
+    const ReplicaSketch& sketch = store.replica(r).sketch();
     const std::vector<std::size_t> involved =
         sketch.index.InvolvedPartitions(query);
     if (store.health().AnyQuarantined(r, involved)) continue;

@@ -207,6 +207,33 @@ TEST(BuildAccessAwareReplicaTest, PlanPersistsThroughSegmentStore) {
   EXPECT_EQ(loaded.Reconstruct().size(), f.dataset.size());
 }
 
+TEST(BuildAccessAwareReplicaTest, RestorePartitionKeepsThePlannedCodec) {
+  // Repairing a partition from its own records must give back the
+  // planned codec and the same bytes, not the policy's smallest codec.
+  const BuildFixture f;
+  const PartitioningSpec spec{.spatial_partitions = 8,
+                              .temporal_partitions = 4};
+  const Replica smallest = Replica::Build(
+      f.dataset, {spec, EncodingScheme::FromName("ROW-LZMA")}, f.universe);
+  const Replica fastest = Replica::Build(
+      f.dataset, {spec, EncodingScheme::FromName("ROW-PLAIN")}, f.universe);
+  AccessAwareBuildResult result = BuildAccessAwareReplica(
+      f.dataset, spec, Layout::kRow, f.universe, f.workload, f.model,
+      (smallest.StorageBytes() + fastest.StorageBytes()) / 2);
+  Replica& replica = result.replica;
+  const std::set<CodecKind> used(result.plan.codecs.begin(),
+                                 result.plan.codecs.end());
+  ASSERT_GE(used.size(), 2u);
+  const std::uint64_t bytes = replica.StorageBytes();
+  for (std::size_t p = 0; p < replica.NumPartitions(); ++p) {
+    const Bytes data = replica.partition(p).data;
+    replica.RestorePartition(p, replica.DecodePartitionRecords(p));
+    EXPECT_EQ(replica.partition(p).codec, result.plan.codecs[p]) << p;
+    EXPECT_EQ(replica.partition(p).data, data) << p;
+  }
+  EXPECT_EQ(replica.StorageBytes(), bytes);
+}
+
 TEST(PartitionAccessFrequenciesTest, HotRegionGetsMoreAccess) {
   const BuildFixture f;
   PartitionedData pd = PartitionDataset(

@@ -5,6 +5,7 @@
 
 #include "core/cost_model.h"
 #include "gen/taxi_generator.h"
+#include "simenv/replica_sketch.h"
 #include "util/rng.h"
 
 namespace blot {
@@ -120,7 +121,7 @@ TEST(CostModelPropertyTest, RefiningPartitioningRaisesExpectedNp) {
 
 TEST(CostModelPropertyTest, GroupedCostMonotoneInQuerySize) {
   const Fixture f;
-  const ReplicaSketch sketch = ReplicaSketch::FromSample(
+  const ReplicaSketch sketch = SketchFromSample(
       f.dataset,
       {{.spatial_partitions = 16, .temporal_partitions = 8},
        EncodingScheme::FromName("ROW-GZIP")},

@@ -12,6 +12,7 @@
 #include <map>
 
 #include "gen/taxi_generator.h"
+#include "simenv/replica_sketch.h"
 #include "simenv/simulator.h"
 #include "util/error.h"
 
@@ -30,11 +31,13 @@ struct Fixture {
     config.samples_per_taxi = 400;
     dataset = GenerateTaxiFleet(config);
     universe = config.Universe();
-    sketch = ReplicaSketch::FromReplica(Replica::Build(
-        dataset,
-        {{.spatial_partitions = spatial, .temporal_partitions = temporal},
-         EncodingScheme::FromName(encoding)},
-        universe));
+    sketch = Replica::Build(
+                 dataset,
+                 {{.spatial_partitions = spatial,
+                   .temporal_partitions = temporal},
+                  EncodingScheme::FromName(encoding)},
+                 universe)
+                 .sketch();
   }
 };
 
@@ -273,10 +276,10 @@ TEST(CostModelTest, FinerPartitioningWinsSmallQueriesCoarseWinsLarge) {
   const Fixture f;
   constexpr std::uint64_t kTotalRecords = 50'000'000;
   const EncodingScheme plain = EncodingScheme::FromName("ROW-PLAIN");
-  const ReplicaSketch coarse = ReplicaSketch::FromSample(
+  const ReplicaSketch coarse = SketchFromSample(
       f.dataset, {{.spatial_partitions = 4, .temporal_partitions = 2}, plain},
       f.universe, kTotalRecords, 1.0);
-  const ReplicaSketch fine = ReplicaSketch::FromSample(
+  const ReplicaSketch fine = SketchFromSample(
       f.dataset,
       {{.spatial_partitions = 256, .temporal_partitions = 32}, plain},
       f.universe, kTotalRecords, 1.0);

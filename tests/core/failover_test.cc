@@ -462,14 +462,18 @@ TEST_F(FailoverTest, ChaosCampaignPreservesResultEquivalence) {
     plan.kinds = {FaultKind::kBitFlip, FaultKind::kTruncate,
                   FaultKind::kTornRead, FaultKind::kReadError};
     plan.replica = store.replica(victim).config().Name();
-    RunFaultCampaign(plan, 3, [&](std::size_t round, std::uint64_t) {
+    // Three rounds, each re-armed under its own seed.
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      plan.seed = seed + round;
+      FaultInjector::Global().Arm(plan);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const BlotStore::RoutedResult routed =
             store.Execute(queries[q], model);  // must not throw
         EXPECT_EQ(Sorted(routed.result.records), truth[q])
             << "victim " << victim << " round " << round << " query " << q;
       }
-    });
+    }
+    FaultInjector::Global().Disarm();
     // Sync repair healed everything the campaign broke.
     EXPECT_EQ(store.health().QuarantinedCount(), 0u) << "victim " << victim;
   }

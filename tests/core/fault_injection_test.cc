@@ -294,29 +294,5 @@ TEST(FaultMutationTest, CorruptFileMutatesOnDisk) {
   std::filesystem::remove(path);
 }
 
-TEST(FaultCampaignTest, DerivesDistinctSeedsAndAlwaysDisarms) {
-  FaultPlan plan;
-  plan.seed = 5;
-  std::vector<std::uint64_t> seeds;
-  RunFaultCampaign(plan, 4, [&](std::size_t round, std::uint64_t seed) {
-    EXPECT_EQ(round, seeds.size());
-    EXPECT_TRUE(FaultInjector::Global().enabled());
-    seeds.push_back(seed);
-  });
-  EXPECT_FALSE(FaultInjector::Global().enabled());
-  ASSERT_EQ(seeds.size(), 4u);
-  for (std::size_t i = 0; i < seeds.size(); ++i)
-    for (std::size_t j = i + 1; j < seeds.size(); ++j)
-      EXPECT_NE(seeds[i], seeds[j]);
-
-  // Disarms on exception too.
-  EXPECT_THROW(RunFaultCampaign(plan, 2,
-                                [](std::size_t, std::uint64_t) {
-                                  throw InvalidArgument("boom");
-                                }),
-               InvalidArgument);
-  EXPECT_FALSE(FaultInjector::Global().enabled());
-}
-
 }  // namespace
 }  // namespace blot

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "blot/replica.h"
 #include "common/fixtures.h"
 #include "core/cost_model.h"
 #include "core/fault_injection.h"
@@ -20,7 +21,6 @@
 #include "core/partial.h"
 #include "core/store.h"
 #include "core/workload.h"
-#include "simenv/replica_sketch.h"
 #include "util/rng.h"
 
 namespace blot {
@@ -74,7 +74,7 @@ TEST_F(RoutingParityTest, EstimatesAndDecisionsMatchReferenceFormula) {
 
   std::vector<ReplicaSketch> sketches;
   for (std::size_t r = 0; r < store.NumReplicas(); ++r)
-    sketches.push_back(ReplicaSketch::FromReplica(store.replica(r)));
+    sketches.push_back(store.replica(r).sketch());
   ASSERT_NE(std::count(sketches[1].counts.begin(), sketches[1].counts.end(),
                        std::uint64_t{0}),
             0);
@@ -143,7 +143,7 @@ TEST_F(RoutingParityTest, BrownoutAndQuarantineMatchFullReference) {
   store.SetFailoverPolicy(policy);
   std::vector<ReplicaSketch> sketches;
   for (std::size_t r = 0; r < store.NumReplicas(); ++r)
-    sketches.push_back(ReplicaSketch::FromReplica(store.replica(r)));
+    sketches.push_back(store.replica(r).sketch());
 
   Rng rng(99);
   const auto random_query = [&](const STRange& space) {
@@ -290,7 +290,7 @@ TEST_F(RoutingParityTest, BrownoutAndQuarantineMatchFullReference) {
   ASSERT_EQ(store.health().QuarantinedCount(), 0u);
   std::vector<ReplicaSketch> repaired;
   for (std::size_t r = 0; r < store.NumReplicas(); ++r)
-    repaired.push_back(ReplicaSketch::FromReplica(store.replica(r)));
+    repaired.push_back(store.replica(r).sketch());
   EXPECT_EQ(repaired[lossy].counts, sketches[lossy].counts);
   lossy_excluded = 0;
   check_decisions(repaired);
@@ -306,8 +306,7 @@ TEST_F(RoutingParityTest, ExecutedQueriesReportReferenceEstimate) {
                               universe.Duration() * rng.NextDouble(0.01, 0.6)}};
     const STRange query = SampleQueryInstance(shape, universe, rng);
     const BlotStore::RoutedResult routed = store.Execute(query, model);
-    const ReplicaSketch sketch =
-        ReplicaSketch::FromReplica(store.replica(routed.replica_index));
+    const ReplicaSketch& sketch = store.replica(routed.replica_index).sketch();
     const Estimate expected = ReferenceEstimate(
         sketch, model.Params(sketch.config.encoding), query);
     ASSERT_EQ(Bits(routed.estimated_cost_ms), Bits(expected.cost_ms))

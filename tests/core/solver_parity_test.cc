@@ -9,10 +9,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "blot/replica.h"
 #include "common/fixtures.h"
 #include "core/mip_selection.h"
 #include "core/selection.h"
-#include "simenv/replica_sketch.h"
 #include "util/rng.h"
 
 namespace blot {
@@ -135,7 +135,7 @@ TEST(SolverParityTest, CostModelDerivedInstance) {
           {{.spatial_partitions = spatial, .temporal_partitions = 4},
            EncodingScheme::FromName(name)},
           f.universe);
-      sketches.push_back(ReplicaSketch::FromReplica(replica));
+      sketches.push_back(replica.sketch());
     }
   }
   ASSERT_LE(sketches.size(), 10u);

@@ -118,6 +118,25 @@ TEST_F(StorePersistenceTest, SaveOverwritesPreviousStore) {
   EXPECT_EQ(BlotStore::Load(dir_).NumReplicas(), 2u);
 }
 
+// A full device fails a write only when close() flushes it. Save must
+// report that instead of renaming the torn file into place. (Never Load
+// such a directory: /dev/full reads zeros forever.)
+TEST_F(StorePersistenceTest, SaveThrowsWhenTheDeviceIsFull) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  BlotStore store(dataset_, universe_);
+  store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
+                    EncodingScheme::FromName("ROW-PLAIN")});
+  // The store manifest.
+  fs::create_directories(dir_);
+  fs::create_symlink("/dev/full", dir_ / "store.blot.tmp");
+  EXPECT_THROW(store.Save(dir_), Error);
+  fs::remove_all(dir_);
+  // A replica's manifest.
+  fs::create_directories(dir_ / "replica_000");
+  fs::create_symlink("/dev/full", dir_ / "replica_000" / "manifest.blot.tmp");
+  EXPECT_THROW(store.Save(dir_), Error);
+}
+
 TEST_F(StorePersistenceTest, MissingStoreThrows) {
   EXPECT_THROW(BlotStore::Load(dir_), InvalidArgument);
 }

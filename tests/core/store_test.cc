@@ -75,6 +75,30 @@ TEST(BlotStoreTest, ExecuteReturnsGroundTruthRecords) {
   }
 }
 
+TEST(BlotStoreTest, RoutingPricesARestoredPartitionAtItsNewCount) {
+  // Routing reads each replica's own sketch, so a partition restored
+  // with fewer records is priced at its new count straight away.
+  const Fixture f;
+  BlotStore store(f.dataset, f.universe);
+  const std::size_t r =
+      store.AddReplica({{.spatial_partitions = 4, .temporal_partitions = 4},
+                        EncodingScheme::FromName("ROW-GZIP")});
+  std::size_t p = 0;
+  while (store.replica(r).partition(p).num_records < 2) ++p;
+  std::vector<Record> fewer = store.replica(r).DecodePartitionRecords(p);
+  fewer.resize(fewer.size() / 2);
+  const double before =
+      store.RouteQueryDetailed(f.universe, f.model).estimated_cost_ms;
+
+  store.mutable_replica(r).RestorePartition(p, fewer);
+  const BlotStore::RoutingDecision after =
+      store.RouteQueryDetailed(f.universe, f.model);
+  EXPECT_EQ(after.replica_index, r);
+  EXPECT_EQ(after.estimated_cost_ms,
+            f.model.QueryCostMs(store.replica(r).sketch(), f.universe));
+  EXPECT_LT(after.estimated_cost_ms, before);
+}
+
 TEST(BlotStoreTest, TotalStorageSumsReplicas) {
   const Fixture f;
   BlotStore store(f.dataset, f.universe);

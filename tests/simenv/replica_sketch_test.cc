@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "gen/taxi_generator.h"
 #include "util/error.h"
@@ -26,20 +27,53 @@ struct Fixture {
   }
 };
 
-TEST(ReplicaSketchTest, FromReplicaIsExact) {
-  const Fixture f;
-  const Replica replica = Replica::Build(f.dataset, f.config, f.universe);
-  const ReplicaSketch sketch = ReplicaSketch::FromReplica(replica);
-  EXPECT_EQ(sketch.config, f.config);
-  EXPECT_EQ(sketch.total_records, f.dataset.size());
-  EXPECT_EQ(sketch.storage_bytes, replica.StorageBytes());
+// The replica's own sketch agrees with its stored partitions.
+void ExpectSketchMatchesPartitions(const Replica& replica) {
+  const ReplicaSketch& sketch = replica.sketch();
   EXPECT_EQ(sketch.index.NumPartitions(), replica.NumPartitions());
-  std::uint64_t sum = 0;
-  for (std::size_t p = 0; p < sketch.counts.size(); ++p) {
-    EXPECT_EQ(sketch.counts[p], replica.partition(p).num_records);
-    sum += sketch.counts[p];
+  ASSERT_EQ(sketch.counts.size(), replica.NumPartitions());
+  std::uint64_t records = 0, bytes = 0;
+  for (std::size_t p = 0; p < replica.NumPartitions(); ++p) {
+    EXPECT_EQ(sketch.counts[p], replica.partition(p).num_records) << p;
+    records += replica.partition(p).num_records;
+    bytes += replica.partition(p).data.size();
   }
-  EXPECT_EQ(sum, f.dataset.size());
+  EXPECT_EQ(sketch.total_records, records);
+  EXPECT_EQ(sketch.storage_bytes, bytes);
+}
+
+TEST(ReplicaSketchTest, ReplicaSketchIsExactAfterBuildPartsAndRestore) {
+  const Fixture f;
+  Replica built = Replica::Build(f.dataset, f.config, f.universe);
+  EXPECT_EQ(built.sketch().config, f.config);
+  EXPECT_EQ(built.sketch().universe, f.universe);
+  EXPECT_EQ(built.sketch().total_records, f.dataset.size());
+  ExpectSketchMatchesPartitions(built);
+
+  // FromParts, the load path.
+  std::vector<STRange> ranges;
+  std::vector<StoredPartition> parts;
+  for (std::size_t p = 0; p < built.NumPartitions(); ++p) {
+    ranges.push_back(built.index().Range(p));
+    parts.push_back(built.partition(p));
+  }
+  const Replica loaded =
+      Replica::FromParts(f.config, f.universe, ranges, std::move(parts));
+  EXPECT_EQ(loaded.sketch().total_records, f.dataset.size());
+  for (std::size_t p = 0; p < loaded.NumPartitions(); ++p)
+    EXPECT_EQ(loaded.index().Range(p), ranges[p]);
+  ExpectSketchMatchesPartitions(loaded);
+
+  // RestorePartition with fewer records moves the count, total and size.
+  std::size_t p = 0;
+  while (built.partition(p).num_records < 2) ++p;
+  std::vector<Record> fewer = built.DecodePartitionRecords(p);
+  const std::uint64_t dropped = fewer.size() - fewer.size() / 2;
+  fewer.resize(fewer.size() / 2);
+  built.RestorePartition(p, fewer);
+  EXPECT_EQ(built.sketch().counts[p], fewer.size());
+  EXPECT_EQ(built.sketch().total_records, f.dataset.size() - dropped);
+  ExpectSketchMatchesPartitions(built);
 }
 
 TEST(ReplicaSketchTest, FromSampleScalesCounts) {
@@ -49,7 +83,7 @@ TEST(ReplicaSketchTest, FromSampleScalesCounts) {
   const std::uint64_t total = 100 * f.dataset.size();
   const double ratio = 0.3;
   const ReplicaSketch sketch =
-      ReplicaSketch::FromSample(sample, f.config, f.universe, total, ratio);
+      SketchFromSample(sample, f.config, f.universe, total, ratio);
   EXPECT_EQ(sketch.total_records, total);
   EXPECT_EQ(sketch.index.NumPartitions(),
             f.config.partitioning.TotalPartitions());
@@ -70,10 +104,10 @@ TEST(ReplicaSketchTest, SampledSketchApproximatesFullSketch) {
   // sample and the exact replica.
   const Fixture f;
   const Replica replica = Replica::Build(f.dataset, f.config, f.universe);
-  const ReplicaSketch exact = ReplicaSketch::FromReplica(replica);
+  const ReplicaSketch& exact = replica.sketch();
   Rng rng(7);
   const Dataset sample = f.dataset.Sample(f.dataset.size() / 4, rng);
-  const ReplicaSketch approx = ReplicaSketch::FromSample(
+  const ReplicaSketch approx = SketchFromSample(
       sample, f.config, f.universe, f.dataset.size(), 0.5);
   ASSERT_EQ(approx.counts.size(), exact.counts.size());
   // Mean absolute relative deviation of per-partition counts stays small.
@@ -92,7 +126,7 @@ TEST(ReplicaSketchTest, SampledSketchApproximatesFullSketch) {
 TEST(ReplicaSketchTest, MeanRecordsPerPartition) {
   const Fixture f;
   const Replica replica = Replica::Build(f.dataset, f.config, f.universe);
-  const ReplicaSketch sketch = ReplicaSketch::FromReplica(replica);
+  const ReplicaSketch& sketch = replica.sketch();
   EXPECT_NEAR(sketch.MeanRecordsPerPartition(),
               static_cast<double>(f.dataset.size()) /
                   static_cast<double>(f.config.partitioning.TotalPartitions()),
@@ -101,10 +135,10 @@ TEST(ReplicaSketchTest, MeanRecordsPerPartition) {
 
 TEST(ReplicaSketchTest, FromSampleValidatesInput) {
   const Fixture f;
-  EXPECT_THROW(ReplicaSketch::FromSample(Dataset(), f.config, f.universe,
+  EXPECT_THROW(SketchFromSample(Dataset(), f.config, f.universe,
                                          1000, 0.5),
                InvalidArgument);
-  EXPECT_THROW(ReplicaSketch::FromSample(f.dataset, f.config, f.universe,
+  EXPECT_THROW(SketchFromSample(f.dataset, f.config, f.universe,
                                          1000, 0.0),
                InvalidArgument);
 }

@@ -17,7 +17,7 @@ ReplicaSketch FleetSketch(const EncodingScheme& encoding, STRange& universe) {
   universe = config.Universe();
   const ReplicaConfig rc{
       {.spatial_partitions = 8, .temporal_partitions = 4}, encoding};
-  return ReplicaSketch::FromReplica(Replica::Build(d, rc, universe));
+  return Replica::Build(d, rc, universe).sketch();
 }
 
 TEST(SimulatorTest, NoiseFreeScanMatchesEnvironmentTruth) {

@@ -7,7 +7,6 @@
 
 #include "blot/replica.h"
 #include "core/cost_model.h"
-#include "simenv/replica_sketch.h"
 #include "testing/generator.h"
 #include "testing/oracle.h"
 #include "util/rng.h"
@@ -77,7 +76,7 @@ TEST_F(MetamorphicTest, AllReplicaPairsAgreeWithoutAnOracle) {
 TEST_F(MetamorphicTest, QueryCostIsFiniteNonNegativeAndMonotone) {
   const CostModel model{EnvironmentModel::AmazonS3Emr()};
   const Replica replica = Build("COL-GZIP", 8, 8);
-  const ReplicaSketch sketch = ReplicaSketch::FromReplica(replica);
+  const ReplicaSketch& sketch = replica.sketch();
   for (int trial = 0; trial < 20; ++trial) {
     const STRange query =
         GenerateQuery(rng, QueryShape::kRandom, universe, dataset);
