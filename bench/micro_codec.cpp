@@ -2,6 +2,9 @@
 // and layout on partition-sized blocks of taxi records. These back the
 // ratio/speed frontier the encoding-scheme trade-off relies on: SNAPPY
 // fastest, GZIP middle, LZMA slowest per byte in both directions.
+// BM_EncodeSmallPartitions times encoding at the partition sizes replica
+// builds actually see: 12–49 records (blotbench's paper-mix tilings) and
+// 781 (KD16xT16 over 200k records), where fixed per-partition costs count.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -55,6 +58,24 @@ void BM_EncodePartition(benchmark::State& state, const char* scheme_name) {
       static_cast<std::int64_t>(state.iterations() * PartitionData().size()));
 }
 
+// Encodes consecutive `state.range(0)`-record slices of the sample, one
+// partition per iteration.
+void BM_EncodeSmallPartitions(benchmark::State& state,
+                              const char* scheme_name) {
+  const EncodingScheme scheme = EncodingScheme::FromName(scheme_name);
+  const std::span<const Record> records = PartitionData().records();
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    if (offset + n > records.size()) offset = 0;
+    Bytes encoded = EncodePartition(records.subspan(offset, n), scheme);
+    benchmark::DoNotOptimize(encoded);
+    offset += n;
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * n));
+}
+
 void BM_DecodePartition(benchmark::State& state, const char* scheme_name) {
   const EncodingScheme scheme = EncodingScheme::FromName(scheme_name);
   const Bytes encoded = EncodePartition(PartitionData().records(), scheme);
@@ -75,6 +96,12 @@ BENCHMARK_CAPTURE(BM_Decompress, lzma, CodecKind::kLzmaLike);
 BENCHMARK_CAPTURE(BM_EncodePartition, row_snappy, "ROW-SNAPPY");
 BENCHMARK_CAPTURE(BM_EncodePartition, col_gzip, "COL-GZIP");
 BENCHMARK_CAPTURE(BM_EncodePartition, col_lzma, "COL-LZMA");
+BENCHMARK_CAPTURE(BM_EncodeSmallPartitions, row_snappy, "ROW-SNAPPY")
+    ->Arg(12)->Arg(49)->Arg(781);
+BENCHMARK_CAPTURE(BM_EncodeSmallPartitions, col_gzip, "COL-GZIP")
+    ->Arg(12)->Arg(49)->Arg(781);
+BENCHMARK_CAPTURE(BM_EncodeSmallPartitions, col_lzma, "COL-LZMA")
+    ->Arg(12)->Arg(49)->Arg(781);
 BENCHMARK_CAPTURE(BM_DecodePartition, row_snappy, "ROW-SNAPPY");
 BENCHMARK_CAPTURE(BM_DecodePartition, col_gzip, "COL-GZIP");
 BENCHMARK_CAPTURE(BM_DecodePartition, col_lzma, "COL-LZMA");

@@ -17,29 +17,6 @@
 namespace blot {
 namespace {
 
-// Exact TIME x LOC bounding cuboid over `records`, or nullopt when the
-// partition is empty or contains a NaN coordinate (no order → no zone).
-// Same semantics as the per-block zone maps in layout.cc, one level up.
-std::optional<STRange> ComputePartitionZone(
-    const std::vector<Record>& records) {
-  if (records.empty()) return std::nullopt;
-  double x_min = records[0].x, x_max = records[0].x;
-  double y_min = records[0].y, y_max = records[0].y;
-  std::int64_t t_min = records[0].time, t_max = records[0].time;
-  for (const Record& r : records) {
-    if (std::isnan(r.x) || std::isnan(r.y)) return std::nullopt;
-    x_min = std::min(x_min, r.x);
-    x_max = std::max(x_max, r.x);
-    y_min = std::min(y_min, r.y);
-    y_max = std::max(y_max, r.y);
-    t_min = std::min(t_min, r.time);
-    t_max = std::max(t_max, r.time);
-  }
-  return STRange::FromBounds(x_min, x_max, y_min, y_max,
-                             static_cast<double>(t_min),
-                             static_cast<double>(t_max));
-}
-
 // Encodes one partition's records under `scheme`, or under the smallest
 // codec over its layout when `best_codec` — the shared physical-encode
 // step of Build and RestorePartition.
@@ -74,6 +51,25 @@ StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
 }
 
 }  // namespace
+
+std::optional<STRange> ComputePartitionZone(std::span<const Record> records) {
+  if (records.empty()) return std::nullopt;
+  double x_min = records[0].x, x_max = records[0].x;
+  double y_min = records[0].y, y_max = records[0].y;
+  std::int64_t t_min = records[0].time, t_max = records[0].time;
+  for (const Record& r : records) {
+    if (std::isnan(r.x) || std::isnan(r.y)) return std::nullopt;
+    x_min = std::min(x_min, r.x);
+    x_max = std::max(x_max, r.x);
+    y_min = std::min(y_min, r.y);
+    y_max = std::max(y_max, r.y);
+    t_min = std::min(t_min, r.time);
+    t_max = std::max(t_max, r.time);
+  }
+  return STRange::FromBounds(x_min, x_max, y_min, y_max,
+                             static_cast<double>(t_min),
+                             static_cast<double>(t_max));
+}
 
 void Replica::InitCacheState(std::size_t num_partitions) {
   cache_id_ = PartitionCache::NextReplicaId();

@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,6 +121,12 @@ struct StoredPartition {
   bool has_zone = false;
   STRange zone;
 };
+
+// Exact TIME x LOC bounding cuboid over `records` — a StoredPartition's
+// `zone` — or nullopt when the partition is empty or contains a NaN
+// coordinate (no order, so no zone). Same semantics as the per-block zone
+// maps in layout.cc, one level up.
+std::optional<STRange> ComputePartitionZone(std::span<const Record> records);
 
 // Per-query execution accounting, the raw inputs of the cost model:
 // Cost(q, r) is driven by records scanned and partitions touched (Eq. 7).

@@ -6,21 +6,20 @@ namespace blot {
 
 void BitWriter::WriteBits(std::uint32_t bits, int count) {
   require(count >= 0 && count <= 32, "BitWriter: bit count out of range");
-  for (int i = 0; i < count; ++i) {
-    current_ |= static_cast<std::uint8_t>((bits >> i) & 1u) << bit_position_;
-    if (++bit_position_ == 8) {
-      buffer_.push_back(current_);
-      current_ = 0;
-      bit_position_ = 0;
-    }
+  const std::uint64_t mask = (std::uint64_t{1} << count) - 1;
+  pending_ |= (bits & mask) << pending_bits_;
+  pending_bits_ += count;
+  for (; pending_bits_ >= 8; pending_bits_ -= 8) {
+    buffer_.push_back(static_cast<std::uint8_t>(pending_));
+    pending_ >>= 8;
   }
 }
 
 Bytes BitWriter::Finish() {
-  if (bit_position_ > 0) {
-    buffer_.push_back(current_);
-    current_ = 0;
-    bit_position_ = 0;
+  if (pending_bits_ > 0) {
+    buffer_.push_back(static_cast<std::uint8_t>(pending_));
+    pending_ = 0;
+    pending_bits_ = 0;
   }
   return std::move(buffer_);
 }

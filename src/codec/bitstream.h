@@ -19,12 +19,12 @@ class BitWriter {
   // Pads the current byte with zero bits and returns the buffer.
   Bytes Finish();
 
-  std::size_t BitCount() const { return buffer_.size() * 8 + bit_position_; }
+  std::size_t BitCount() const { return buffer_.size() * 8 + pending_bits_; }
 
  private:
   Bytes buffer_;
-  std::uint8_t current_ = 0;
-  int bit_position_ = 0;
+  std::uint64_t pending_ = 0;  // bits not yet in buffer_, LSB first
+  int pending_bits_ = 0;       // < 8 between calls
 };
 
 class BitReader {

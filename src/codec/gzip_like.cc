@@ -139,9 +139,34 @@ Bytes GzipLikeCodec::Compress(BytesView input) const {
       BuildHuffmanCodeLengths(litlen_freq);
   const std::vector<std::uint8_t> dist_lengths =
       BuildHuffmanCodeLengths(dist_freq);
+
+  // The Huffman payload's exact size, from the frequencies alone: every
+  // symbol costs its code length plus its extra bits.
+  std::uint64_t payload_bits = 0;
+  for (std::size_t s = 0; s < kNumLitLenSymbols; ++s) {
+    const std::uint64_t extra = s > 256 ? kLengthExtra[s - 257] : 0;
+    payload_bits += litlen_freq[s] * (litlen_lengths[s] + extra);
+  }
+  for (std::size_t d = 0; d < kNumDistSymbols; ++d)
+    payload_bits += dist_freq[d] * (dist_lengths[d] + kDistExtra[d]);
+  const std::uint64_t payload_size = (payload_bits + 7) / 8;
+
+  ByteWriter out;
+  out.PutVarint(input.size());
+  // Header: flag + RLE'd code-length tables + payload. Fall back to a
+  // stored frame when Huffman coding does not pay off — decided before
+  // any bit is written, since small partitions mostly store.
+  ByteWriter tables;
+  PutCodeLengths(tables, litlen_lengths);
+  PutCodeLengths(tables, dist_lengths);
+  if (1 + tables.size() + payload_size >= input.size()) {
+    out.PutU8(kFrameStored);
+    out.PutBytes(input);
+    return out.Take();
+  }
+
   const HuffmanEncoder litlen_encoder(litlen_lengths);
   const HuffmanEncoder dist_encoder(dist_lengths);
-
   BitWriter bits;
   for (const Token& t : tokens) {
     if (t.length == 0) {
@@ -157,19 +182,8 @@ Bytes GzipLikeCodec::Compress(BytesView input) const {
   }
   litlen_encoder.Write(bits, kEndOfBlock);
   const Bytes payload = bits.Finish();
-
-  ByteWriter out;
-  out.PutVarint(input.size());
-  // Header: flag + RLE'd code-length tables + payload. Fall back to a
-  // stored frame when Huffman coding does not pay off.
-  ByteWriter tables;
-  PutCodeLengths(tables, litlen_lengths);
-  PutCodeLengths(tables, dist_lengths);
-  if (1 + tables.size() + payload.size() >= input.size()) {
-    out.PutU8(kFrameStored);
-    out.PutBytes(input);
-    return out.Take();
-  }
+  ensure(payload.size() == payload_size,
+         "GzipLike: Huffman payload differs from its predicted size");
   out.PutU8(kFrameHuffman);
   out.PutBytes(tables.buffer());
   out.PutBytes(payload);

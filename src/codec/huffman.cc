@@ -1,61 +1,70 @@
 #include "codec/huffman.h"
 
 #include <algorithm>
-#include <numeric>
-#include <queue>
+#include <utility>
 
 #include "util/error.h"
 
 namespace blot {
 namespace {
 
-// Plain heap-based Huffman tree construction returning per-symbol depths.
-std::vector<std::uint8_t> TreeDepths(
-    const std::vector<std::uint64_t>& frequencies) {
-  struct Node {
-    std::uint64_t freq;
-    int left;   // node index or -1
-    int right;  // node index or -1
-    int symbol; // leaf symbol or -1
+// Huffman tree depths per symbol, by the two-queue construction: leaves
+// sorted by (freq, symbol) and merged nodes in creation order. Merged
+// frequencies never decrease, so each queue stays sorted, and taking the
+// smaller front — the leaf on a tie — pops in exactly the order of a
+// (freq, node index) min-heap whose leaves are indexed in symbol order
+// before any merged node. Returns the deepest leaf's depth; depths above
+// 255 are stored as 255 (the caller only needs to know they exceed the
+// length limit).
+int TreeDepths(const std::vector<std::uint64_t>& frequencies,
+               std::vector<std::uint8_t>& depths) {
+  depths.assign(frequencies.size(), 0);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> leaves;  // freq, sym
+  for (std::size_t s = 0; s < frequencies.size(); ++s)
+    if (frequencies[s] > 0)
+      leaves.emplace_back(frequencies[s], static_cast<std::uint32_t>(s));
+  const std::size_t n = leaves.size();
+  if (n == 0) return 0;
+  if (n == 1) {
+    depths[leaves[0].second] = 1;
+    return 1;
+  }
+  std::sort(leaves.begin(), leaves.end());
+  // Node ids: sorted leaves 0..n-1, then merged nodes n..2n-2, root last.
+  // link[id] holds the parent id until the sweep below turns it into the
+  // depth; parents are created after their children, so sweeping down
+  // from the root always finds the parent's depth already in place.
+  std::vector<std::uint64_t> merged_freq;
+  merged_freq.reserve(n - 1);
+  std::vector<std::uint32_t> link(2 * n - 1);
+  std::size_t next_leaf = 0, next_merged = 0;
+  const auto pop = [&]() -> std::pair<std::uint64_t, std::size_t> {
+    const bool merged_left = next_merged < merged_freq.size();
+    if (next_leaf < n && (!merged_left || leaves[next_leaf].first <=
+                                              merged_freq[next_merged])) {
+      const std::size_t leaf = next_leaf++;
+      return {leaves[leaf].first, leaf};
+    }
+    const std::size_t m = next_merged++;
+    return {merged_freq[m], n + m};
   };
-  std::vector<Node> nodes;
-  using HeapItem = std::pair<std::uint64_t, int>;  // (freq, node index)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (std::size_t s = 0; s < frequencies.size(); ++s) {
-    if (frequencies[s] == 0) continue;
-    nodes.push_back({frequencies[s], -1, -1, static_cast<int>(s)});
-    heap.emplace(frequencies[s], static_cast<int>(nodes.size()) - 1);
+  for (std::size_t m = 0; m + 1 < n; ++m) {
+    const auto [fa, a] = pop();
+    const auto [fb, b] = pop();
+    link[a] = link[b] = static_cast<std::uint32_t>(n + m);
+    merged_freq.push_back(fa + fb);
   }
-  std::vector<std::uint8_t> depths(frequencies.size(), 0);
-  if (nodes.empty()) return depths;
-  if (nodes.size() == 1) {
-    depths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
-    return depths;
-  }
-  while (heap.size() > 1) {
-    const auto [fa, a] = heap.top();
-    heap.pop();
-    const auto [fb, b] = heap.top();
-    heap.pop();
-    nodes.push_back({fa + fb, a, b, -1});
-    heap.emplace(fa + fb, static_cast<int>(nodes.size()) - 1);
-  }
-  // Iterative depth assignment from the root.
-  std::vector<std::pair<int, std::uint8_t>> stack;
-  stack.emplace_back(heap.top().second, 0);
-  while (!stack.empty()) {
-    const auto [idx, depth] = stack.back();
-    stack.pop_back();
-    const Node& node = nodes[static_cast<std::size_t>(idx)];
-    if (node.symbol >= 0) {
-      depths[static_cast<std::size_t>(node.symbol)] =
-          std::max<std::uint8_t>(depth, 1);
-    } else {
-      stack.emplace_back(node.left, static_cast<std::uint8_t>(depth + 1));
-      stack.emplace_back(node.right, static_cast<std::uint8_t>(depth + 1));
+  link[2 * n - 2] = 0;
+  std::uint32_t max_depth = 0;
+  for (std::size_t id = 2 * n - 2; id-- > 0;) {
+    link[id] = link[link[id]] + 1;
+    if (id < n) {
+      depths[leaves[id].second] =
+          static_cast<std::uint8_t>(std::min<std::uint32_t>(link[id], 255));
+      max_depth = std::max(max_depth, link[id]);
     }
   }
-  return depths;
+  return static_cast<int>(max_depth);
 }
 
 }  // namespace
@@ -69,14 +78,12 @@ std::vector<std::uint8_t> BuildHuffmanCodeLengths(
   require(frequencies.size() <= (std::size_t{1} << kMaxHuffmanBits),
           "BuildHuffmanCodeLengths: alphabet too large for length limit");
   std::vector<std::uint64_t> adjusted = frequencies;
-  for (;;) {
-    std::vector<std::uint8_t> depths = TreeDepths(adjusted);
-    const std::uint8_t max_depth =
-        depths.empty() ? 0 : *std::max_element(depths.begin(), depths.end());
-    if (max_depth <= kMaxHuffmanBits) return depths;
+  std::vector<std::uint8_t> depths;
+  while (TreeDepths(adjusted, depths) > kMaxHuffmanBits) {
     for (auto& f : adjusted)
       if (f > 0) f = (f + 1) / 2;
   }
+  return depths;
 }
 
 namespace {
@@ -108,14 +115,22 @@ std::vector<std::uint16_t> CanonicalCodes(
 }  // namespace
 
 HuffmanEncoder::HuffmanEncoder(const std::vector<std::uint8_t>& lengths)
-    : codes_(CanonicalCodes(lengths)), lengths_(lengths) {}
+    : reversed_codes_(CanonicalCodes(lengths)), lengths_(lengths) {
+  // Code bits go out MSB first into an LSB-first stream: store each code
+  // bit-reversed so Write() is a single WriteBits().
+  for (std::size_t s = 0; s < lengths_.size(); ++s) {
+    std::uint16_t reversed = 0;
+    for (int i = 0; i < lengths_[s]; ++i)
+      reversed = static_cast<std::uint16_t>(
+          (reversed << 1) | ((reversed_codes_[s] >> i) & 1u));
+    reversed_codes_[s] = reversed;
+  }
+}
 
 void HuffmanEncoder::Write(BitWriter& out, std::size_t symbol) const {
   ensure(symbol < lengths_.size() && lengths_[symbol] > 0,
          "HuffmanEncoder: symbol has no code");
-  const std::uint16_t code = codes_[symbol];
-  const int len = lengths_[symbol];
-  for (int i = len - 1; i >= 0; --i) out.WriteBits((code >> i) & 1u, 1);
+  out.WriteBits(reversed_codes_[symbol], lengths_[symbol]);
 }
 
 HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths)

@@ -30,7 +30,7 @@ class HuffmanEncoder {
   void Write(BitWriter& out, std::size_t symbol) const;
 
  private:
-  std::vector<std::uint16_t> codes_;
+  std::vector<std::uint16_t> reversed_codes_;  // canonical code, LSB first
   std::vector<std::uint8_t> lengths_;
 };
 

@@ -27,6 +27,13 @@ struct LzMatch {
 // Usage: walk positions left to right; at each position call FindMatch()
 // and then Insert() for every consumed byte (including those covered by an
 // emitted match) so later positions can reference them.
+//
+// The 64 Ki-bucket head table is borrowed from per-thread scratch rather
+// than allocated and cleared per input, so a matcher costs O(input), not
+// O(table): partitions here are often a few hundred bytes. Entries left by
+// earlier inputs are told apart by a per-matcher position base (see
+// lz_common.cc). A second matcher alive on the same thread gets a table of
+// its own.
 class HashChainMatcher {
  public:
   struct Options {
@@ -37,6 +44,10 @@ class HashChainMatcher {
   };
 
   HashChainMatcher(BytesView input, const Options& options);
+  ~HashChainMatcher();
+
+  HashChainMatcher(const HashChainMatcher&) = delete;
+  HashChainMatcher& operator=(const HashChainMatcher&) = delete;
 
   // Finds the longest match ending before `pos` within the window. Only
   // returns matches of at least options.min_match bytes.
@@ -50,10 +61,15 @@ class HashChainMatcher {
 
  private:
   std::uint32_t HashAt(std::size_t pos) const;
+  // Most recent position in `bucket` from this input, or -1.
+  std::int64_t Head(std::uint32_t bucket) const;
 
   BytesView input_;
   Options options_;
-  std::vector<std::int64_t> head_;  // hash bucket -> most recent position
+  std::int64_t* head_ = nullptr;  // hash bucket -> base_ + latest position
+  std::int64_t base_ = 0;
+  bool borrowed_head_ = false;  // head_ is this thread's scratch table
+  std::vector<std::int64_t> own_head_;  // used when the scratch is taken
   std::vector<std::int64_t> prev_;  // position -> previous with same hash
 };
 

@@ -1,7 +1,9 @@
 #include "codec/lzma_like.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <span>
 
 #include "codec/lz_common.h"
 #include "codec/range_coder.h"
@@ -16,27 +18,37 @@ constexpr std::uint32_t kWindow = 1u << 20;
 constexpr int kNumSlotBits = 6;
 
 // The probability model shared by encoder and decoder. All trees use the
-// standard "node index" layout where probs[1] is the root.
+// standard "node index" layout where probs[1] is the root. It lives on the
+// stack: one model per partition costs no allocation.
 struct Model {
   BitProb is_match = kProbInit;
   // Repeated-distance flag: reuse the previous match distance (LZMA's
   // rep0). Fixed-stride record data repeats distances constantly, so one
   // cheap bit replaces a whole distance encoding.
   BitProb is_rep = kProbInit;
-  // 256 order-1 contexts x 256-leaf literal tree.
-  std::vector<std::vector<BitProb>> literal;
-  std::vector<BitProb> length;
-  std::vector<BitProb> rep_length;
-  std::vector<BitProb> dist_slot;
+  std::array<BitProb, 256> length;
+  std::array<BitProb, 256> rep_length;
+  std::array<BitProb, 1u << kNumSlotBits> dist_slot;
   // Adaptive probabilities for distance direct bits, one per bit index.
-  std::vector<BitProb> dist_direct;
+  std::array<BitProb, 32> dist_direct;
 
-  Model()
-      : literal(256, std::vector<BitProb>(256, kProbInit)),
-        length(256, kProbInit),
-        rep_length(256, kProbInit),
-        dist_slot(1u << kNumSlotBits, kProbInit),
-        dist_direct(32, kProbInit) {}
+  Model() {
+    literal_.fill(kProbInit);
+    length.fill(kProbInit);
+    rep_length.fill(kProbInit);
+    dist_slot.fill(kProbInit);
+    dist_direct.fill(kProbInit);
+  }
+
+  // The 256-leaf literal tree under order-1 context `prev_byte`.
+  std::span<BitProb> Literal(std::uint8_t prev_byte) {
+    return std::span<BitProb>(literal_).subspan(std::size_t{prev_byte} * 256,
+                                                256);
+  }
+
+ private:
+  // 256 order-1 contexts x 256-leaf literal tree, row-major.
+  std::array<BitProb, 256 * 256> literal_;
 };
 
 // Distance slot for value = distance - 1: slots 0..3 are the value itself;
@@ -142,7 +154,7 @@ Bytes LzmaLikeCodec::Compress(BytesView input) const {
       prev_byte = input[pos - 1];
     } else {
       rc.EncodeBit(model.is_match, 0);
-      rc.EncodeBitTree(model.literal[prev_byte], 8, input[pos]);
+      rc.EncodeBitTree(model.Literal(prev_byte), 8, input[pos]);
       matcher.Insert(pos);
       prev_byte = input[pos];
       ++pos;
@@ -174,7 +186,7 @@ Bytes LzmaLikeCodec::Decompress(BytesView input) const {
   while (out.size() < expected_size) {
     if (rc.DecodeBit(model.is_match) == 0) {
       prev_byte = static_cast<std::uint8_t>(
-          rc.DecodeBitTree(model.literal[prev_byte], 8));
+          rc.DecodeBitTree(model.Literal(prev_byte), 8));
       out.push_back(prev_byte);
       continue;
     }

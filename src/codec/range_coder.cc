@@ -35,7 +35,7 @@ void RangeEncoder::EncodeDirectBits(std::uint32_t value, int count) {
   }
 }
 
-void RangeEncoder::EncodeBitTree(std::vector<BitProb>& probs, int bits,
+void RangeEncoder::EncodeBitTree(std::span<BitProb> probs, int bits,
                                  std::uint32_t value) {
   std::uint32_t node = 1;
   for (int i = bits - 1; i >= 0; --i) {
@@ -117,7 +117,7 @@ std::uint32_t RangeDecoder::DecodeDirectBits(int count) {
   return value;
 }
 
-std::uint32_t RangeDecoder::DecodeBitTree(std::vector<BitProb>& probs,
+std::uint32_t RangeDecoder::DecodeBitTree(std::span<BitProb> probs,
                                           int bits) {
   std::uint32_t node = 1;
   for (int i = 0; i < bits; ++i) node = (node << 1) | DecodeBit(probs[node]);

@@ -8,7 +8,7 @@
 #define BLOT_CODEC_RANGE_CODER_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/bytes.h"
 
@@ -31,8 +31,7 @@ class RangeEncoder {
 
   // Encodes `value` in [0, 2^bits) through a bit tree rooted at probs[1];
   // `probs` must hold at least 2^bits entries.
-  void EncodeBitTree(std::vector<BitProb>& probs, int bits,
-                     std::uint32_t value);
+  void EncodeBitTree(std::span<BitProb> probs, int bits, std::uint32_t value);
 
   // Flushes pending state and returns the encoded bytes.
   Bytes Finish();
@@ -54,7 +53,7 @@ class RangeDecoder {
 
   std::uint32_t DecodeBit(BitProb& p);
   std::uint32_t DecodeDirectBits(int count);
-  std::uint32_t DecodeBitTree(std::vector<BitProb>& probs, int bits);
+  std::uint32_t DecodeBitTree(std::span<BitProb> probs, int bits);
 
  private:
   std::uint8_t NextByte();

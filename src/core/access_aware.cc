@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "util/error.h"
@@ -141,7 +142,6 @@ AccessAwareBuildResult BuildAccessAwareReplica(
   AccessAwareInputs inputs;
   // Candidate codecs: those the cost model has parameters for under this
   // layout (COL-PLAIN is excluded by the paper's candidate set).
-  std::vector<Bytes> serialized(num_partitions);
   inputs.counts.resize(num_partitions);
   for (const CodecKind kind : AllCodecKinds()) {
     const EncodingScheme scheme{layout, kind};
@@ -160,16 +160,17 @@ AccessAwareBuildResult BuildAccessAwareReplica(
   // Serialize each partition once and trial every codec.
   std::vector<std::vector<Bytes>> encoded(
       inputs.codec_choices.size(), std::vector<Bytes>(num_partitions));
+  std::vector<std::optional<STRange>> zones(num_partitions);
   const auto encode_one = [&](std::size_t p) {
     std::vector<Record> records;
     records.reserve(partitioned.members[p].size());
     for (std::uint32_t index : partitioned.members[p])
       records.push_back(dataset.records()[index]);
     inputs.counts[p] = records.size();
-    serialized[p] = SerializeRecords(records, layout);
+    zones[p] = ComputePartitionZone(records);
+    const Bytes serialized = SerializeRecords(records, layout);
     for (std::size_t c = 0; c < inputs.codec_choices.size(); ++c) {
-      encoded[c][p] =
-          GetCodec(inputs.codec_choices[c]).Compress(serialized[p]);
+      encoded[c][p] = GetCodec(inputs.codec_choices[c]).Compress(serialized);
       inputs.sizes[c][p] = encoded[c][p].size();
     }
   };
@@ -192,6 +193,10 @@ AccessAwareBuildResult BuildAccessAwareReplica(
     partitions[p].data = std::move(encoded[c][p]);
     partitions[p].codec = plan.codecs[p];
     partitions[p].checksum = Fnv1a64(partitions[p].data);
+    if (zones[p]) {
+      partitions[p].has_zone = true;
+      partitions[p].zone = *zones[p];
+    }
   }
   const ReplicaConfig config{partitioning,
                              {layout, CodecKind::kNone},

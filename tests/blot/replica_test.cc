@@ -104,6 +104,26 @@ TEST(ReplicaParallelTest, ParallelBuildAndQueryMatchSerial) {
   EXPECT_EQ(a.stats.records_scanned, b.stats.records_scanned);
 }
 
+// Pool workers each reuse their own matcher scratch across partitions; the
+// stored bytes must not depend on which thread encoded what.
+TEST(ReplicaParallelTest, ParallelBuildIsByteIdenticalToSerial) {
+  const Fixture f;
+  ThreadPool pool(4);
+  for (const char* encoding : {"COL-GZIP", "COL-LZMA"}) {
+    const ReplicaConfig config{
+        {.spatial_partitions = 16, .temporal_partitions = 8},
+        EncodingScheme::FromName(encoding)};
+    const Replica serial = Replica::Build(f.dataset, config, f.universe);
+    const Replica parallel =
+        Replica::Build(f.dataset, config, f.universe, &pool);
+    ASSERT_EQ(serial.NumPartitions(), parallel.NumPartitions());
+    for (std::size_t p = 0; p < serial.NumPartitions(); ++p) {
+      EXPECT_EQ(serial.partition(p).data, parallel.partition(p).data)
+          << encoding << " partition " << p;
+    }
+  }
+}
+
 TEST(ReplicaIntegrityTest, CorruptPartitionDetectedOnRead) {
   const Fixture f;
   Replica replica = Replica::Build(

@@ -70,6 +70,28 @@ TEST(BitstreamTest, CountValidation) {
   EXPECT_THROW(r.ReadBits(33), InvalidArgument);
 }
 
+// The writer packs whole bytes from a 64-bit accumulator; a one-bit-at-a-
+// time reference must produce the same bytes for any mix of widths.
+TEST(BitstreamTest, MixedWidthsMatchBitByBitReference) {
+  Rng rng(7);
+  BitWriter w;
+  Bytes reference;
+  std::size_t bit_count = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const int count = static_cast<int>(rng.NextUint64(33));
+    // High garbage above `count` must be ignored.
+    const std::uint32_t bits = static_cast<std::uint32_t>(rng());
+    w.WriteBits(bits, count);
+    for (int b = 0; b < count; ++b, ++bit_count) {
+      if (bit_count % 8 == 0) reference.push_back(0);
+      reference.back() |=
+          static_cast<std::uint8_t>(((bits >> b) & 1u) << (bit_count % 8));
+    }
+    ASSERT_EQ(w.BitCount(), bit_count);
+  }
+  EXPECT_EQ(w.Finish(), reference);
+}
+
 TEST(BitstreamTest, BitCountTracksProgress) {
   BitWriter w;
   EXPECT_EQ(w.BitCount(), 0u);

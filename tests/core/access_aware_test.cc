@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "blot/segment_store.h"
@@ -152,6 +153,48 @@ TEST(BuildAccessAwareReplicaTest, RoundTripsAndRespectsBudget) {
   const std::set<CodecKind> used(result.plan.codecs.begin(),
                                  result.plan.codecs.end());
   EXPECT_GE(used.size(), 2u);
+}
+
+// Access-aware partitions carry the same exact zones as Build's, so a
+// query skips exactly the partitions a uniform replica of the same
+// partitioning skips.
+TEST(BuildAccessAwareReplicaTest, ZoneSkipsMatchAUniformBuild) {
+  const BuildFixture f;
+  const PartitioningSpec spec{.spatial_partitions = 16,
+                              .temporal_partitions = 8};
+  const Replica uniform = Replica::Build(
+      f.dataset, {spec, EncodingScheme::FromName("ROW-SNAPPY")}, f.universe);
+  const Replica aware =
+      BuildAccessAwareReplica(f.dataset, spec, Layout::kRow, f.universe,
+                              f.workload, f.model,
+                              std::numeric_limits<std::uint64_t>::max())
+          .replica;
+  ASSERT_EQ(aware.NumPartitions(), uniform.NumPartitions());
+  for (std::size_t p = 0; p < aware.NumPartitions(); ++p) {
+    ASSERT_EQ(aware.partition(p).has_zone, uniform.partition(p).has_zone);
+    if (uniform.partition(p).has_zone) {
+      EXPECT_EQ(aware.partition(p).zone, uniform.partition(p).zone)
+          << "partition " << p;
+    }
+  }
+
+  Rng rng(9);
+  std::size_t skips = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const STRange query = SampleQueryInstance(
+        {{f.universe.Width() * 0.05, f.universe.Height() * 0.05,
+          f.universe.Duration() * 0.2}},
+        f.universe, rng);
+    for (std::size_t p = 0; p < aware.NumPartitions(); ++p) {
+      EXPECT_EQ(aware.ZoneExcludes(p, query), uniform.ZoneExcludes(p, query))
+          << "trial " << trial << " partition " << p;
+      skips += aware.ZoneExcludes(p, query);
+    }
+    EXPECT_EQ(aware.Execute(query).stats.partitions_scanned,
+              uniform.Execute(query).stats.partitions_scanned)
+        << "trial " << trial;
+  }
+  EXPECT_GT(skips, 0u);
 }
 
 TEST(BuildAccessAwareReplicaTest, HotPartitionsGetFasterCodecs) {
